@@ -18,8 +18,9 @@ build:
 # operator flags, batched and per-request), the lock-free completion
 # turn ring (under the race detector: mutual exclusion, FIFO grants,
 # no lost turns across wraparound), and geo topology validation
-# (operator-supplied region/RTT configs). One invocation per target:
-# -fuzz matches only one.
+# (operator-supplied region/RTT configs), plus the elastic roster against
+# its map-based reference model (arbitrary join/evict sequences). One
+# invocation per target: -fuzz matches only one.
 vet: docs
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
@@ -30,6 +31,7 @@ vet: docs
 	$(GO) test -race -run='^$$' -fuzz=FuzzCompletionRing -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzTenantConfig -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzGeoConfig -fuzztime=5s ./internal/geo/
+	$(GO) test -run='^$$' -fuzz=FuzzRoster -fuzztime=5s ./internal/cluster/
 
 # Documentation coverage and link integrity: every exported declaration
 # and every package needs a real doc comment, and every relative link in
@@ -125,6 +127,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParsePolicies -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzTenantConfig -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzGeoConfig -fuzztime=10s ./internal/geo/
+	$(GO) test -fuzz=FuzzRoster -fuzztime=10s ./internal/cluster/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -64,9 +64,9 @@
 // The -scale mode sweeps elastic Algorithm 2 deployments over the
 // in-memory network at N in {8, 64, 512, 4096}, flat all-to-all
 // aggregation against the hierarchical tree overlay, and writes rounds
-// per second, per-worker traffic, aggregation depth, and the final
-// min-max gap against the offline optimum to -out (default
-// BENCH_scale.json). Per-worker bytes per round stay O(1) under the
+// per second, set-up time to the first consensus, steady-state time per
+// round, per-worker traffic, aggregation depth, and the final min-max
+// gap against the offline optimum to -out (default BENCH_scale.json). Per-worker bytes per round stay O(1) under the
 // tree overlay while growing O(N) flat.
 //
 // The -dispatch mode times the admission hot path end to end — the

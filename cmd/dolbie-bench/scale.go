@@ -19,12 +19,12 @@ import (
 // per-round communication patterns of the elastic runtime — the paper's
 // flat all-to-all exchange (O(N^2) messages per round, swept up to 512)
 // and the hierarchical tree aggregation overlay (~3N messages per
-// round, swept to 4096) — and reports throughput, per-worker traffic,
-// aggregation depth, and the final min-max gap against the offline
-// optimum. The headline measurement is the traffic column: bytes per
-// round per worker stays O(1) under the tree overlay while growing O(N)
-// flat, which is what lets one deployment scale from the paper's 8
-// workers to thousands.
+// round, swept to 4096) — and reports throughput, set-up time,
+// steady-state time per round, per-worker traffic, aggregation depth,
+// and the final min-max gap against the offline optimum. The headline
+// measurement is the traffic column: bytes per round per worker stays
+// O(1) under the tree overlay while growing O(N) flat, which is what
+// lets one deployment scale from the paper's 8 workers to thousands.
 
 const (
 	scaleRounds = 12
@@ -56,6 +56,12 @@ type scaleRunStats struct {
 	// RoundsPerSec is wall-clock throughput of the whole deployment
 	// (timing-dependent; recorded for orientation, not reproduction).
 	RoundsPerSec float64 `json:"rounds_per_sec"`
+	// SetupS is the wall-clock time from building the network to the
+	// first consensus reaching peer 0 (the start of its round 2).
+	SetupS float64 `json:"setup_s"`
+	// RoundMs is peer 0's steady-state wall-clock time per round, from
+	// the start of round 2 to the start of the last round.
+	RoundMs float64 `json:"round_ms"`
 	// FinalMaxCost is the realized min-max objective in the last round.
 	FinalMaxCost float64 `json:"final_max_cost"`
 	// OptimalMaxCost is the offline instantaneous optimum for the same
@@ -113,9 +119,9 @@ func runScaleBench(outPath string, out io.Writer) error {
 				return fmt.Errorf("%s N=%d: %w", topo, n, err)
 			}
 			rep.Runs = append(rep.Runs, stats)
-			fmt.Fprintf(out, "  %-4s N=%-5d depth %d  %10.0f msgs/round  %8.1f B/round/worker  %7.1f rounds/s  gap %+.2f%%\n",
+			fmt.Fprintf(out, "  %-4s N=%-5d depth %d  %10.0f msgs/round  %8.1f B/round/worker  %7.1f rounds/s  setup %6.3fs  %8.2f ms/round  gap %+.2f%%\n",
 				stats.Topology, n, stats.AggDepth, stats.MsgsPerRound,
-				stats.BytesPerRoundPerWorker, stats.RoundsPerSec, stats.FinalGapPct)
+				stats.BytesPerRoundPerWorker, stats.RoundsPerSec, stats.SetupS, stats.RoundMs, stats.FinalGapPct)
 		}
 	}
 	raw, err := json.MarshalIndent(rep, "", "  ")
@@ -134,17 +140,35 @@ func runScaleBench(outPath string, out io.Writer) error {
 func scaleRun(topo cluster.Topology, n int) (scaleRunStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	net := cluster.NewMemNet(cluster.WithInboxBuffer(4 * n))
+	build := time.Now()
+	// Flat peers send to every other peer in a loop before receiving,
+	// so an inbox smaller than the N-1 shares of the rounds in flight can
+	// deadlock the exchange: flat cells get 4N slots. Tree peers receive
+	// O(fanout) messages per round, so the default inbox suffices —
+	// 4N slots would preallocate N*4N channel entries at N=4096.
+	var opts []cluster.MemNetOption
+	if topo == cluster.TopologyFlat {
+		opts = append(opts, cluster.WithInboxBuffer(4*n))
+	}
+	net := cluster.NewMemNet(opts...)
 	transports := make([]cluster.Transport, n)
 	for i := range transports {
 		transports[i] = net.Node(i)
 	}
 	defer closeTransports(transports)
 	funcs := scaleFuncs(n)
+	sources := scaleSources(funcs)
+	// Peer 0's round starts: starts[r] is when its round r+1 began.
+	starts := make([]time.Time, 0, scaleRounds)
+	src0 := sources[0]
+	sources[0] = cluster.FuncSource(func(round int, x float64) (float64, costfn.Func, error) {
+		starts = append(starts, time.Now())
+		return src0.Observe(round, x)
+	})
 	dc := cluster.ElasticDeploymentConfig{
 		X0:      simplex.Uniform(n),
 		Rounds:  scaleRounds,
-		Sources: scaleSources(funcs),
+		Sources: sources,
 		Peer: cluster.ElasticPeerConfig{
 			RoundTimeout: 2 * time.Minute,
 			Topology:     topo,
@@ -178,6 +202,8 @@ func scaleRun(topo cluster.Topology, n int) (scaleRunStats, error) {
 	stats.MsgsPerRound = float64(msgs) / scaleRounds
 	stats.BytesPerRoundPerWorker = float64(bytes) / scaleRounds / float64(n)
 	stats.RoundsPerSec = scaleRounds / elapsed.Seconds()
+	stats.SetupS = starts[1].Sub(build).Seconds()
+	stats.RoundMs = float64(starts[scaleRounds-1].Sub(starts[1])) / float64(time.Millisecond) / (scaleRounds - 2)
 	stats.FinalMaxCost = finalMax
 	opt, err := optimum.Solve(funcs, 0)
 	if err != nil {

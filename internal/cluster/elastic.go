@@ -216,22 +216,18 @@ func newElasticPeer(ctx context.Context, cfg ElasticPeerConfig, id int, p *core.
 		},
 		announced: make(map[int]bool),
 	}
-	if cfg.Topology == TopologyTree {
-		e.tree = newAggTree(rost.Members(), cfg.Fanout)
-		e.res.AggDepth = e.tree.depth()
-	}
 	if cfg.Metrics != nil {
 		node := fmt.Sprintf("peer-%d", id)
-		e.timeouts = cfg.Metrics.Counter(MetricRoundTimeouts, "Resilient-master collection phases that hit their deadline.")
+		e.timeouts = cfg.Metrics.Counter(MetricRoundTimeouts, helpRoundTimeouts)
 		e.evictions = cfg.Metrics.Counter(MetricPeersEvicted, "Fail-stop evictions applied by resilient fully-distributed peers.")
 		e.joins = cfg.Metrics.CounterVec(MetricRosterJoins, "Admissions applied by elastic peers.", "node").WithLabelValues(node)
 		e.gSize = cfg.Metrics.GaugeVec(MetricRosterSize, "Peer's current view of the live roster size.", "node").WithLabelValues(node)
 		e.gVersion = cfg.Metrics.GaugeVec(MetricRosterVersion, "Peer's applied roster version.", "node").WithLabelValues(node)
 		e.gDepth = cfg.Metrics.GaugeVec(MetricRosterAggDepth, "Depth of the hierarchical aggregation tree.", "node").WithLabelValues(node)
 		e.setRosterGauges()
-		if e.tree != nil {
-			e.gDepth.Set(float64(e.tree.depth()))
-		}
+	}
+	if cfg.Topology == TopologyTree {
+		e.layTree()
 	}
 	return e
 }
@@ -431,16 +427,22 @@ func (e *elasticPeer) sendTree(to int, env Envelope) ([]core.PeerOutput, error) 
 	return nil, nil
 }
 
+// layTree derives the overlay from the current roster view. The tree
+// shares the roster's immutable member slice, so this costs O(1).
+func (e *elasticPeer) layTree() {
+	e.tree = newAggTree(e.rost.view(), e.cfg.Fanout)
+	e.res.AggDepth = e.tree.depth()
+	if e.gDepth != nil {
+		e.gDepth.Set(float64(e.res.AggDepth))
+	}
+}
+
 // rebuildTree re-derives the overlay from the current roster and, when
 // a collection is in flight, restarts the round's aggregation under the
 // new epoch (every survivor does the same on applying the eviction, so
 // contributions are re-sent and stale-epoch traffic is dropped).
 func (e *elasticPeer) rebuildTree() ([]core.PeerOutput, error) {
-	e.tree = newAggTree(e.rost.Members(), e.cfg.Fanout)
-	e.res.AggDepth = e.tree.depth()
-	if e.gDepth != nil {
-		e.gDepth.Set(float64(e.tree.depth()))
-	}
+	e.layTree()
 	if !e.sharePhase {
 		return nil, nil
 	}
@@ -689,6 +691,8 @@ func (e *elasticPeer) drainJoinQueue(r int) {
 		// pending joiner, before any of our own round-r traffic.
 		var targets []int
 		if e.tree != nil {
+			// children is capacity-capped, so the pending-joiner appends
+			// below copy rather than write into the shared roster slice.
 			targets = e.tree.children(e.id)
 		} else {
 			for _, m := range e.p.Survivors() {
@@ -772,11 +776,7 @@ func (e *elasticPeer) applyAdmissions(r int) ([]core.PeerOutput, error) {
 	if e.tree != nil {
 		// Boundary rebuild: no collection is in flight at the top of a
 		// round, so this never restarts an aggregation.
-		e.tree = newAggTree(e.rost.Members(), e.cfg.Fanout)
-		e.res.AggDepth = e.tree.depth()
-		if e.gDepth != nil {
-			e.gDepth.Set(float64(e.tree.depth()))
-		}
+		e.layTree()
 	}
 	var outs []core.PeerOutput
 	backlog := e.backlog
@@ -880,12 +880,40 @@ func (e *elasticPeer) handleEnvelope(env Envelope) ([]core.PeerOutput, bool, err
 	}
 }
 
+// deadlineWindow is the collection loop's progress-deadline context.
+// One context spans a whole deadline window, so a Recv costs no timer:
+// accepted progress only moves the deadline, and a context that expires
+// short of the moved deadline is replaced by a fresh one for the rest.
+type deadlineWindow struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// until returns the context bounding the next Recv, opening one that
+// expires at deadline when none is open.
+func (w *deadlineWindow) until(parent context.Context, deadline time.Time) context.Context {
+	if w.ctx == nil {
+		w.ctx, w.cancel = context.WithDeadline(parent, deadline)
+	}
+	return w.ctx
+}
+
+// close cancels the open context, if any.
+func (w *deadlineWindow) close() {
+	if w.cancel != nil {
+		w.cancel()
+		w.ctx, w.cancel = nil, nil
+	}
+}
+
 // run executes rounds first..rounds, mirroring the fail-stop loop of
 // the original RunResilientPeer (to which it reduces exactly in flat,
 // no-join configurations).
 func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 	p := e.p
+	var window deadlineWindow
 	finalize := func() ElasticPeerResult {
+		window.close()
 		e.res.FinalX = p.X()
 		e.res.FinalLocalAlpha = p.LocalAlpha()
 		e.res.Survivors = p.Survivors()
@@ -961,11 +989,15 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 			if p.AliveCount() < e.cfg.MinPeers {
 				return finalize(), fmt.Errorf("%w: %d alive, need %d", ErrTooFewPeers, p.AliveCount(), e.cfg.MinPeers)
 			}
-			phaseCtx, cancel := context.WithDeadline(e.ctx, deadline)
-			env, _, err := e.meter.Recv(phaseCtx)
-			cancel()
+			env, _, err := e.meter.Recv(window.until(e.ctx, deadline))
 			if err != nil {
 				if errors.Is(err, context.DeadlineExceeded) && e.ctx.Err() == nil {
+					window.close()
+					if time.Now().Before(deadline) {
+						// Accepted progress moved the deadline past the
+						// window's end: keep waiting in a fresh window.
+						continue
+					}
 					// Progress deadline expired: every peer the current
 					// collection still waits on is declared crashed.
 					missing := e.missing()
@@ -1023,6 +1055,7 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 				return finalize(), fmt.Errorf("cluster: peer %d round %d: %w", e.id, r, err)
 			}
 		}
+		window.close()
 		e.res.Rounds = r
 	}
 	return finalize(), nil
@@ -1089,12 +1122,11 @@ func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int,
 	if _, err := meter.Send(ctx, contact, joinEnvelope(contact, core.JoinRequest{From: id})); err != nil {
 		return res, fmt.Errorf("cluster: peer %d join request: %w", id, err)
 	}
-	deadline := time.Now().Add(ec.JoinTimeout)
+	joinCtx, cancel := context.WithTimeout(ctx, ec.JoinTimeout)
+	defer cancel()
 	var grant core.RosterUpdate
 	for {
-		phaseCtx, cancel := context.WithDeadline(ctx, deadline)
-		env, _, err := meter.Recv(phaseCtx)
-		cancel()
+		env, _, err := meter.Recv(joinCtx)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 				return res, fmt.Errorf("peer %d: %w", id, ErrJoinTimeout)
@@ -1125,6 +1157,7 @@ func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int,
 		grant = u
 		break
 	}
+	cancel() // the grant is in: release the join timer before the run
 	if ec.Metrics != nil {
 		opts = append(opts, core.WithMetrics(ec.Metrics))
 	}

@@ -11,6 +11,7 @@ import (
 
 	"dolbie/internal/costfn"
 	"dolbie/internal/simplex"
+	"dolbie/internal/trace"
 )
 
 // runElasticDeployment wires an elastic deployment over a fresh MemNet
@@ -325,6 +326,56 @@ func TestElasticTreeCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestElasticDeadlineSlidesWithProgress pins the progress-deadline
+// rule of the collection loop: a peer is declared crashed only after
+// RoundTimeout passes with no accepted message, however long the whole
+// collection takes. Peer k's messages to peer 0 are delayed by
+// k*0.6*RoundTimeout (every other link is immediate), so peer 0 — the
+// straggler, by its cost — accepts one share and one decision from each
+// peer at gaps of 0.6*RoundTimeout while its collection lasts
+// 1.8*RoundTimeout. No peer may be evicted.
+func TestElasticDeadlineSlidesWithProgress(t *testing.T) {
+	const n = 4
+	const timeout = 200 * time.Millisecond
+	const gap = timeout * 3 / 5
+	srcs := make([]CostSource, n)
+	for i := range srcs {
+		f := costfn.Affine{Slope: 1}
+		if i == 0 {
+			f.Slope = 20 // the straggler: it collects every decision
+		}
+		srcs[i] = FuncSource(func(round int, x float64) (float64, costfn.Func, error) {
+			return f.Eval(x), f, nil
+		})
+	}
+	chaos := NewChaos(ChaosConfig{
+		Seed: 1,
+		DelayModel: func(from, to int) trace.Process {
+			if to != 0 {
+				return nil
+			}
+			return &trace.Constant{Value: (time.Duration(from) * gap).Seconds()}
+		},
+	})
+	dc := ElasticDeploymentConfig{
+		X0:      simplex.Uniform(n),
+		Rounds:  1,
+		Sources: srcs,
+		Peer:    ElasticPeerConfig{RoundTimeout: timeout},
+	}
+	start := time.Now()
+	res := runElasticDeployment(t, dc, chaos)
+	if elapsed := time.Since(start); elapsed <= timeout {
+		t.Fatalf("deployment took %v, want over RoundTimeout %v", elapsed, timeout)
+	}
+	for i, r := range res {
+		if r.Rounds != 1 || len(r.Evicted) > 0 || r.SelfEvicted || r.Crashed {
+			t.Errorf("peer %d: rounds=%d evicted=%v self-evicted=%v crashed=%v, want 1 round and no faults",
+				i, r.Rounds, r.Evicted, r.SelfEvicted, r.Crashed)
+		}
+	}
+}
+
 // TestRosterVersioning unit-tests the membership module: joins and
 // evictions bump the version, ids are single-use, and the event log
 // records every change in order.
@@ -376,7 +427,7 @@ func TestRosterVersioning(t *testing.T) {
 // positions over sorted ids, parent/child symmetry, and depth.
 func TestAggTreeShape(t *testing.T) {
 	ids := []int{5, 0, 9, 2, 7, 3, 11, 4, 6} // 9 members, deliberately unsorted
-	tr := newAggTree(ids, 3)
+	tr := newAggTree(NewRoster(ids).view(), 3)
 	if tr.root() != 0 {
 		t.Errorf("root = %d, want lowest id 0", tr.root())
 	}

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file generalizes the eviction-only peer bookkeeping of the
@@ -40,10 +40,15 @@ type RosterEvent struct {
 // decrease; between churn events all live peers converge to the same
 // member set (evictions by union of notices, admissions by applying the
 // coordinator's announcement at its stated round).
+//
+// The live set is an immutable ascending slice: churn builds a new
+// slice (O(N) per event) and never writes an old one, so the overlay can
+// share it without copying and the per-round queries stay cheap — the
+// coordinator is the first element and membership is a binary search.
 type Roster struct {
 	version uint64
-	alive   map[int]bool
-	known   map[int]bool // ever-seen ids; evicted ids are never readmitted
+	members []int        // live ids, ascending; replaced on churn, never mutated
+	evicted map[int]bool // ids evicted from this view; never readmitted
 	events  []RosterEvent
 }
 
@@ -52,61 +57,57 @@ func NewRoster(members []int) *Roster {
 	return NewRosterAt(members, 0)
 }
 
-// NewRosterAt builds a roster over the given members starting at the
-// given version. Joiners use it to adopt the coordinator's snapshot at
-// the announced version.
+// NewRosterAt builds a roster over the given members (any order;
+// duplicates collapse) starting at the given version. Joiners use it to
+// adopt the coordinator's snapshot at the announced version.
 func NewRosterAt(members []int, version uint64) *Roster {
-	r := &Roster{
-		version: version,
-		alive:   make(map[int]bool, len(members)),
-		known:   make(map[int]bool, len(members)),
-	}
-	for _, id := range members {
-		r.alive[id] = true
-		r.known[id] = true
-	}
-	return r
+	ids := slices.Clone(members)
+	slices.Sort(ids)
+	return &Roster{version: version, members: slices.Compact(ids)}
 }
 
 // Version returns the current roster version.
 func (r *Roster) Version() uint64 { return r.version }
 
 // Size returns the number of live members.
-func (r *Roster) Size() int { return len(r.alive) }
+func (r *Roster) Size() int { return len(r.members) }
 
 // Has reports whether id is a live member.
-func (r *Roster) Has(id int) bool { return r.alive[id] }
+func (r *Roster) Has(id int) bool {
+	_, ok := slices.BinarySearch(r.members, id)
+	return ok
+}
 
 // Knows reports whether id has ever been a member (live or evicted).
 // Known ids are never readmitted, which keeps the fail-stop model
 // sound: an evicted peer's frozen workload was already absorbed.
-func (r *Roster) Knows(id int) bool { return r.known[id] }
+func (r *Roster) Knows(id int) bool { return r.evicted[id] || r.Has(id) }
 
 // Members returns the live member ids in ascending order. This is the
 // canonical order every derived structure uses (broadcast order, the
 // aggregation tree layout), so all peers with the same view derive the
-// same topology.
+// same topology. The slice is a fresh copy owned by the caller.
 func (r *Roster) Members() []int {
-	ids := make([]int, 0, len(r.alive))
-	for id := range r.alive {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	ids := make([]int, len(r.members))
+	copy(ids, r.members)
 	return ids
 }
+
+// view returns the live member ids in ascending order without copying.
+// The slice is shared and immutable: churn replaces it rather than
+// writing to it, so holders (the aggregation overlay) keep a consistent
+// snapshot, and nobody may write through it.
+func (r *Roster) view() []int { return r.members }
 
 // Coordinator returns the membership coordinator under this view: the
 // lowest live id (which is also the root of the aggregation tree, so
 // join announcements and down-phase consensus traverse the same FIFO
 // links). It returns -1 on an empty roster.
 func (r *Roster) Coordinator() int {
-	c := -1
-	for id := range r.alive {
-		if c < 0 || id < c {
-			c = id
-		}
+	if len(r.members) == 0 {
+		return -1
 	}
-	return c
+	return r.members[0]
 }
 
 // ApplyJoin admits id at the given round. The announced version comes
@@ -114,11 +115,14 @@ func (r *Roster) Coordinator() int {
 // max(local+1, announced) so versions stay monotone on every peer even
 // when concurrent evictions were applied in different orders.
 func (r *Roster) ApplyJoin(id, round int, version uint64) error {
-	if r.known[id] {
+	if r.Knows(id) {
 		return fmt.Errorf("cluster: roster already knows peer %d", id)
 	}
-	r.alive[id] = true
-	r.known[id] = true
+	at, _ := slices.BinarySearch(r.members, id)
+	next := make([]int, 0, len(r.members)+1)
+	next = append(next, r.members[:at]...)
+	next = append(next, id)
+	r.members = append(next, r.members[at:]...)
 	if version <= r.version {
 		version = r.version + 1
 	}
@@ -130,10 +134,15 @@ func (r *Roster) ApplyJoin(id, round int, version uint64) error {
 // ApplyEvict removes id at the given round, bumping the version. It
 // reports whether id was live (a duplicate eviction is a no-op).
 func (r *Roster) ApplyEvict(id, round int) bool {
-	if !r.alive[id] {
+	at, ok := slices.BinarySearch(r.members, id)
+	if !ok {
 		return false
 	}
-	delete(r.alive, id)
+	r.members = slices.Concat(r.members[:at], r.members[at+1:])
+	if r.evicted == nil {
+		r.evicted = make(map[int]bool)
+	}
+	r.evicted[id] = true
 	r.version++
 	r.events = append(r.events, RosterEvent{Version: r.version, Round: round, Join: false, Peer: id})
 	return true

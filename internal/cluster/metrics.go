@@ -27,8 +27,9 @@ const (
 	// MetricDuplicateFrames counts already-delivered frames suppressed
 	// by the reliability layer, labeled by node.
 	MetricDuplicateFrames = "dolbie_cluster_duplicate_frames_total"
-	// MetricRoundTimeouts counts resilient-master collection phases
-	// that hit their deadline.
+	// MetricRoundTimeouts counts failure-detection deadlines that
+	// expired, at the resilient master and at fail-stop and elastic
+	// peers alike.
 	MetricRoundTimeouts = "dolbie_cluster_round_timeouts_total"
 	// MetricWorkersCrashed counts workers declared crashed by the
 	// resilient master.
@@ -57,6 +58,11 @@ const (
 	// aggregation tree (0 in flat all-to-all mode), labeled by node.
 	MetricRosterAggDepth = "dolbie_cluster_roster_aggregation_depth"
 )
+
+// helpRoundTimeouts is the HELP text of MetricRoundTimeouts. The
+// resilient master and the peers register the family with this one
+// string, so the exported description is right whichever runs.
+const helpRoundTimeouts = "Detection deadlines that expired (resilient master and peers)."
 
 // netMetrics is the per-node instrument set behind an instrumented
 // Meter. A nil *netMetrics records nothing.

@@ -187,3 +187,24 @@ func TestResilientMetrics(t *testing.T) {
 		t.Errorf("resilient master did not export core families:\n%s", expo)
 	}
 }
+
+// TestRoundTimeoutsHelp pins the HELP text of the timeouts family: a
+// deployment of peers alone exports the description shared with the
+// resilient master, not a master-only one.
+func TestRoundTimeoutsHelp(t *testing.T) {
+	reg := metrics.NewRegistry()
+	dc := healthyElasticConfig(2, 2, TopologyFlat, 0)
+	dc.Peer.Metrics = reg
+	runElasticDeployment(t, dc, nil)
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP " + MetricRoundTimeouts + " " + helpRoundTimeouts + "\n"
+	if !strings.Contains(sb.String(), want) {
+		t.Errorf("peer-only scrape lacks %q:\n%s", want, sb.String())
+	}
+	if !strings.Contains(helpRoundTimeouts, "master") || !strings.Contains(helpRoundTimeouts, "peers") {
+		t.Errorf("HELP %q does not cover both the master and the peers", helpRoundTimeouts)
+	}
+}

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file defines the hierarchical aggregation overlay that replaces
@@ -79,29 +79,27 @@ const DefaultFanout = 8
 // live id — the same peer the roster designates membership coordinator.
 // Every peer with the same roster view derives the same tree, so the
 // overlay needs no negotiation and is rebuilt locally on every
-// membership change.
+// membership change. The tree holds the roster's immutable member slice
+// rather than a copy and finds positions by binary search, so building
+// it is O(1) and each query O(log N).
 type aggTree struct {
 	fanout  int
-	members []int       // ascending
-	pos     map[int]int // id -> position
+	members []int // ascending; shared with the roster, never written
 }
 
-// newAggTree builds the overlay for the given live members (any order;
-// sorted internally). Fanout values below 2 fall back to DefaultFanout.
+// newAggTree builds the overlay over members, which must be ascending
+// and immutable (a Roster view); the tree keeps the slice without
+// copying it. Fanout values below 2 fall back to DefaultFanout.
 func newAggTree(members []int, fanout int) *aggTree {
 	if fanout < 2 {
 		fanout = DefaultFanout
 	}
-	t := &aggTree{
-		fanout:  fanout,
-		members: append([]int(nil), members...),
-		pos:     make(map[int]int, len(members)),
-	}
-	sort.Ints(t.members)
-	for p, id := range t.members {
-		t.pos[id] = p
-	}
-	return t
+	return &aggTree{fanout: fanout, members: members}
+}
+
+// pos returns id's position in the layout, and false for non-members.
+func (t *aggTree) pos(id int) (int, bool) {
+	return slices.BinarySearch(t.members, id)
 }
 
 // root returns the tree root (lowest member id).
@@ -109,14 +107,14 @@ func (t *aggTree) root() int { return t.members[0] }
 
 // contains reports whether id is a node of this tree.
 func (t *aggTree) contains(id int) bool {
-	_, ok := t.pos[id]
+	_, ok := t.pos(id)
 	return ok
 }
 
 // parent returns the id aggregates are forwarded to, and false at the
 // root (or for ids outside the tree).
 func (t *aggTree) parent(id int) (int, bool) {
-	p, ok := t.pos[id]
+	p, ok := t.pos(id)
 	if !ok || p == 0 {
 		return 0, false
 	}
@@ -124,9 +122,11 @@ func (t *aggTree) parent(id int) (int, bool) {
 }
 
 // children returns the ids whose up-phase aggregates id waits for, in
-// ascending order.
+// ascending order. The result is a subslice of the shared member slice
+// with its capacity capped at its length, so a caller's append copies
+// instead of writing into the roster; callers must not write to it.
 func (t *aggTree) children(id int) []int {
-	p, ok := t.pos[id]
+	p, ok := t.pos(id)
 	if !ok {
 		return nil
 	}
@@ -134,11 +134,8 @@ func (t *aggTree) children(id int) []int {
 	if lo >= len(t.members) {
 		return nil
 	}
-	hi := lo + t.fanout
-	if hi > len(t.members) {
-		hi = len(t.members)
-	}
-	return append([]int(nil), t.members[lo:hi]...)
+	hi := min(lo+t.fanout, len(t.members))
+	return t.members[lo:hi:hi]
 }
 
 // depth returns the number of edges on the longest root-to-leaf path

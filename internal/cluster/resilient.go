@@ -86,7 +86,7 @@ func RunResilientMaster(ctx context.Context, tr Transport, x0 []float64, rounds 
 	rec := core.NewRecorder(rc.Metrics)
 	var timeouts, crashCount *metrics.Counter
 	if rc.Metrics != nil {
-		timeouts = rc.Metrics.Counter(MetricRoundTimeouts, "Resilient-master collection phases that hit their deadline.")
+		timeouts = rc.Metrics.Counter(MetricRoundTimeouts, helpRoundTimeouts)
 		crashCount = rc.Metrics.Counter(MetricWorkersCrashed, "Workers declared crashed by the resilient master.")
 	}
 	// markCrashed funnels every crash-detection site through the shared

@@ -19,8 +19,10 @@ build:
 # turn ring (under the race detector: mutual exclusion, FIFO grants,
 # no lost turns across wraparound), and geo topology validation
 # (operator-supplied region/RTT configs), plus the elastic roster against
-# its map-based reference model (arbitrary join/evict sequences). One
-# invocation per target: -fuzz matches only one.
+# its map-based reference model (arbitrary join/evict sequences) and the
+# Algorithm-1 master state machine under fail-stop evictions, lost
+# messages and late traffic from evicted workers. One invocation per
+# target: -fuzz matches only one.
 vet: docs
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
@@ -32,6 +34,7 @@ vet: docs
 	$(GO) test -run='^$$' -fuzz=FuzzTenantConfig -fuzztime=5s ./internal/dispatch/
 	$(GO) test -run='^$$' -fuzz=FuzzGeoConfig -fuzztime=5s ./internal/geo/
 	$(GO) test -run='^$$' -fuzz=FuzzRoster -fuzztime=5s ./internal/cluster/
+	$(GO) test -run='^$$' -fuzz=FuzzMasterEvict -fuzztime=5s ./internal/core/
 
 # Documentation coverage and link integrity: every exported declaration
 # and every package needs a real doc comment, and every relative link in
@@ -128,6 +131,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTenantConfig -fuzztime=10s ./internal/dispatch/
 	$(GO) test -fuzz=FuzzGeoConfig -fuzztime=10s ./internal/geo/
 	$(GO) test -fuzz=FuzzRoster -fuzztime=10s ./internal/cluster/
+	$(GO) test -fuzz=FuzzMasterEvict -fuzztime=10s ./internal/core/
 
 examples:
 	$(GO) run ./examples/quickstart

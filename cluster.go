@@ -44,7 +44,7 @@ type (
 	// PeerResult summarizes a completed peer run of Algorithm 2.
 	PeerResult = cluster.PeerResult
 	// ResilientConfig parameterizes RunResilientMaster (round deadline,
-	// minimum live worker count, step-size tuning, metrics registry).
+	// minimum live worker count); step size and metrics are Options.
 	ResilientConfig = cluster.ResilientConfig
 	// ResilientResult summarizes a fail-stop-tolerant master run.
 	ResilientResult = cluster.ResilientResult
@@ -263,9 +263,9 @@ func RunPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int
 // RunResilientMaster executes the master side of Algorithm 1 with
 // fail-stop crash handling: workers that miss the round deadline are
 // declared crashed and their workload folds back into the balancing
-// loop.
-func RunResilientMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, rc ResilientConfig) (ResilientResult, error) {
-	return cluster.RunResilientMaster(ctx, tr, x0, rounds, rc)
+// loop. Options configure the step size and metrics as for RunMaster.
+func RunResilientMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, rc ResilientConfig, opts ...Option) (ResilientResult, error) {
+	return cluster.RunResilientMaster(ctx, tr, x0, rounds, rc, opts...)
 }
 
 // NewChaos builds a deterministic fault-injection layer from cfg. Wrap

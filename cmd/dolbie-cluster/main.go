@@ -175,7 +175,7 @@ func run(args []string, out io.Writer) error {
 			msgs, bytes, float64(msgs)/float64(*rounds))
 		printTrajectory(out, played, costs)
 	case "resilient":
-		return runResilient(ctx, out, *n, *rounds, *alpha, *crashID, *crashRound, *roundTimeout, sources, x0, codec, reg, opts)
+		return runResilient(ctx, out, *n, *rounds, *crashID, *crashRound, *roundTimeout, sources, x0, codec, opts)
 	case "rfd":
 		return runResilientFD(ctx, out, resilientFDConfig{
 			n: *n, rounds: *rounds, seed: *seed,
@@ -205,7 +205,7 @@ func (c crashingSource) Observe(round int, x float64) (float64, costfn.Func, err
 // detects the crashed worker via the round deadline, removes it, folds
 // its workload back into the balancing loop, and finishes the run with
 // the survivors.
-func runResilient(ctx context.Context, out io.Writer, n, rounds int, alpha float64, crashID, crashRound int, roundTimeout time.Duration, sources []cluster.CostSource, x0 []float64, codec wire.Codec, reg *metrics.Registry, opts []core.Option) error {
+func runResilient(ctx context.Context, out io.Writer, n, rounds, crashID, crashRound int, roundTimeout time.Duration, sources []cluster.CostSource, x0 []float64, codec wire.Codec, opts []core.Option) error {
 	net := cluster.NewMemNet(cluster.WithCodec(codec))
 	transports := make([]cluster.Transport, n+1)
 	for i := range transports {
@@ -228,11 +228,7 @@ func runResilient(ctx context.Context, out io.Writer, n, rounds int, alpha float
 		}(i)
 	}
 	start := time.Now()
-	res, err := cluster.RunResilientMaster(ctx, transports[n], x0, rounds, cluster.ResilientConfig{
-		RoundTimeout: roundTimeout,
-		InitialAlpha: alpha,
-		Metrics:      reg,
-	})
+	res, err := cluster.RunResilientMaster(ctx, transports[n], x0, rounds, cluster.ResilientConfig{RoundTimeout: roundTimeout}, opts...)
 	elapsed := time.Since(start)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,97 +63,176 @@ func memTransports(net *MemNet, n int) []Transport {
 	return ts
 }
 
-func TestMasterWorkerDeploymentOnMemNet(t *testing.T) {
-	const n, rounds = 6, 15
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+// masterRun is one Algorithm-1 master entry point deployed against plain
+// workers: it reports the master's completed rounds and traffic and the
+// workers' results.
+type masterRun func(ctx context.Context, ts []Transport, x0 []float64, rounds int, srcs []CostSource) (int, TrafficStats, []WorkerResult, error)
 
-	net := NewMemNet()
-	transports := memTransports(net, n+1)
-	sources := make([]CostSource, n)
-	for i := range sources {
-		sources[i] = instSource(i)
-	}
-	x0 := simplex.Uniform(n)
-	masterRes, workerRes, err := MasterWorkerDeployment(ctx, transports, x0, rounds, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if masterRes.Rounds != rounds {
-		t.Errorf("master completed %d rounds, want %d", masterRes.Rounds, rounds)
-	}
-
-	// The distributed trajectory must match the centralized balancer.
-	// Played[t] is x_t; compare x_{t+1} via the next round's play.
-	want := centralizedTrajectory(t, n, rounds)
-	played := make([][]float64, n)
-	for i, wr := range workerRes {
-		played[i] = wr.Played
-	}
-	traj, err := Trajectory(played)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 1; r < rounds; r++ {
+// withWorkers runs master on transports[n] against n plain workers.
+func withWorkers(master func(ctx context.Context, tr Transport) (int, TrafficStats, error)) masterRun {
+	return func(ctx context.Context, ts []Transport, x0 []float64, rounds int, srcs []CostSource) (int, TrafficStats, []WorkerResult, error) {
+		n := len(x0)
+		workers := make([]WorkerResult, n)
+		errs := make([]error, n+1)
+		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
-			if math.Abs(traj[r][i]-want[r-1][i]) > 1e-9 {
-				t.Fatalf("round %d worker %d: played %v, want %v", r, i, traj[r][i], want[r-1][i])
-			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				workers[i], errs[i] = RunWorker(ctx, ts[i], i, n, x0[i], rounds, srcs[i])
+			}(i)
 		}
-	}
-
-	// Communication complexity (Section IV-C): per round the master sends
-	// N coordinates + 1 assign and receives N costs + N-1 decisions.
-	wantSent := rounds * (n + 1)
-	wantRecv := rounds * (2*n - 1)
-	if masterRes.Traffic.MsgsSent != wantSent {
-		t.Errorf("master sent %d msgs, want %d", masterRes.Traffic.MsgsSent, wantSent)
-	}
-	if masterRes.Traffic.MsgsReceived != wantRecv {
-		t.Errorf("master received %d msgs, want %d", masterRes.Traffic.MsgsReceived, wantRecv)
+		done, traffic, err := master(ctx, ts[n])
+		errs[n] = err
+		wg.Wait()
+		return done, traffic, workers, errors.Join(errs...)
 	}
 }
 
+func TestMasterWorkerDeploymentOnMemNet(t *testing.T) {
+	const n, rounds = 6, 15
+	masters := []struct {
+		name string
+		run  masterRun
+	}{
+		{"MasterWorkerDeployment", func(ctx context.Context, ts []Transport, x0 []float64, rounds int, srcs []CostSource) (int, TrafficStats, []WorkerResult, error) {
+			m, w, err := MasterWorkerDeployment(ctx, ts, x0, rounds, srcs)
+			return m.Rounds, m.Traffic, w, err
+		}},
+		// The resilient master runs with the derived step size: a pinned
+		// initial alpha is capped at the feasibility rule by every
+		// distributed master but not by the centralized Balancer, so only
+		// the derived alpha keeps the two trajectories comparable.
+		{"RunResilientMaster", withWorkers(func(ctx context.Context, tr Transport) (int, TrafficStats, error) {
+			m, err := RunResilientMaster(ctx, tr, simplex.Uniform(n), rounds, ResilientConfig{RoundTimeout: 5 * time.Second})
+			return m.Rounds, m.Traffic, err
+		})},
+	}
+	want := centralizedTrajectory(t, n, rounds)
+	for _, tc := range masters {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			sources := make([]CostSource, n)
+			for i := range sources {
+				sources[i] = instSource(i)
+			}
+			done, traffic, workerRes, err := tc.run(ctx, memTransports(NewMemNet(), n+1), simplex.Uniform(n), rounds, sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done != rounds {
+				t.Errorf("master completed %d rounds, want %d", done, rounds)
+			}
+
+			// The distributed trajectory must match the centralized
+			// balancer bit for bit. Played[t] is x_t; compare x_{t+1} via
+			// the next round's play.
+			played := make([][]float64, n)
+			for i, wr := range workerRes {
+				played[i] = wr.Played
+			}
+			traj, err := Trajectory(played)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 1; r < rounds; r++ {
+				for i := 0; i < n; i++ {
+					if traj[r][i] != want[r-1][i] {
+						t.Fatalf("round %d worker %d: played %v, want %v", r, i, traj[r][i], want[r-1][i])
+					}
+				}
+			}
+
+			// Communication complexity (Section IV-C): per round the
+			// master sends N coordinates + 1 assign and receives N costs
+			// + N-1 decisions.
+			wantSent := rounds * (n + 1)
+			wantRecv := rounds * (2*n - 1)
+			if traffic.MsgsSent != wantSent {
+				t.Errorf("master sent %d msgs, want %d", traffic.MsgsSent, wantSent)
+			}
+			if traffic.MsgsReceived != wantRecv {
+				t.Errorf("master received %d msgs, want %d", traffic.MsgsReceived, wantRecv)
+			}
+		})
+	}
+}
+
+// TestFullyDistributedDeploymentOnMemNet pins every Algorithm-2
+// deployment entry point to the centralized balancer bit for bit and to
+// the paper's all-to-all message count.
 func TestFullyDistributedDeploymentOnMemNet(t *testing.T) {
 	const n, rounds = 5, 12
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	net := NewMemNet()
-	transports := memTransports(net, n)
-	sources := make([]CostSource, n)
-	for i := range sources {
-		sources[i] = instSource(i)
-	}
-	x0 := simplex.Uniform(n)
-	res, err := FullyDistributedDeployment(ctx, transports, x0, rounds, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := centralizedTrajectory(t, n, rounds)
-	played := make([][]float64, n)
-	var totalMsgs int
-	for i, pr := range res {
-		played[i] = pr.Played
-		totalMsgs += pr.Traffic.MsgsSent
-	}
-	traj, err := Trajectory(played)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 1; r < rounds; r++ {
-		for i := 0; i < n; i++ {
-			if math.Abs(traj[r][i]-want[r-1][i]) > 1e-9 {
-				t.Fatalf("round %d peer %d: played %v, want %v", r, i, traj[r][i], want[r-1][i])
+	type run func(ctx context.Context, ts []Transport, x0 []float64, srcs []CostSource) ([][]float64, []TrafficStats, error)
+	deployments := []struct {
+		name string
+		run  run
+	}{
+		{"FullyDistributedDeployment", func(ctx context.Context, ts []Transport, x0 []float64, srcs []CostSource) ([][]float64, []TrafficStats, error) {
+			res, err := FullyDistributedDeployment(ctx, ts, x0, rounds, srcs)
+			played, traffic := make([][]float64, len(res)), make([]TrafficStats, len(res))
+			for i, r := range res {
+				played[i], traffic[i] = r.Played, r.Traffic
 			}
-		}
+			return played, traffic, err
+		}},
+		{"ResilientFullyDistributedDeployment", func(ctx context.Context, ts []Transport, x0 []float64, srcs []CostSource) ([][]float64, []TrafficStats, error) {
+			res, err := ResilientFullyDistributedDeployment(ctx, ts, x0, rounds, srcs, ResilientPeerConfig{RoundTimeout: 5 * time.Second})
+			played, traffic := make([][]float64, len(res)), make([]TrafficStats, len(res))
+			for i, r := range res {
+				played[i], traffic[i] = r.Played, r.Traffic
+			}
+			return played, traffic, err
+		}},
+		{"ElasticDeployment", func(ctx context.Context, ts []Transport, x0 []float64, srcs []CostSource) ([][]float64, []TrafficStats, error) {
+			res, err := ElasticDeployment(ctx, ts, ElasticDeploymentConfig{
+				X0: x0, Rounds: rounds, Sources: srcs,
+				Peer: ElasticPeerConfig{RoundTimeout: 5 * time.Second, Topology: TopologyFlat},
+			})
+			played, traffic := make([][]float64, len(res)), make([]TrafficStats, len(res))
+			for i, r := range res {
+				played[i], traffic[i] = r.Played, r.Traffic
+			}
+			return played, traffic, err
+		}},
 	}
+	want := centralizedTrajectory(t, n, rounds)
+	for _, tc := range deployments {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			sources := make([]CostSource, n)
+			for i := range sources {
+				sources[i] = instSource(i)
+			}
+			played, traffic, err := tc.run(ctx, memTransports(NewMemNet(), n), simplex.Uniform(n), sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traj, err := Trajectory(played)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 1; r < rounds; r++ {
+				for i := 0; i < n; i++ {
+					if traj[r][i] != want[r-1][i] {
+						t.Fatalf("round %d peer %d: played %v, want %v", r, i, traj[r][i], want[r-1][i])
+					}
+				}
+			}
 
-	// Communication complexity: N(N-1) shares + (N-1) decisions per round.
-	wantTotal := rounds * (n*(n-1) + (n - 1))
-	if totalMsgs != wantTotal {
-		t.Errorf("total msgs sent = %d, want %d (O(N^2))", totalMsgs, wantTotal)
+			// Communication complexity: N(N-1) shares + (N-1) decisions
+			// per round.
+			var totalMsgs int
+			for _, tr := range traffic {
+				totalMsgs += tr.MsgsSent
+			}
+			wantTotal := rounds * (n*(n-1) + (n - 1))
+			if totalMsgs != wantTotal {
+				t.Errorf("total msgs sent = %d, want %d (O(N^2))", totalMsgs, wantTotal)
+			}
+		})
 	}
 }
 
@@ -410,5 +490,21 @@ func TestTCPNodeCloseIdempotentAndUnknownPeer(t *testing.T) {
 	}
 	if _, _, err := node.Recv(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("recv after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestRunPeerReturnsSendFailure pins RunPeer's contract as the peer
+// engine without a failure detector: a failed send is an error for the
+// deployment, not an eviction.
+func TestRunPeerReturnsSendFailure(t *testing.T) {
+	const n, rounds = 3, 5
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ts := memTransports(NewMemNet(), n)
+	ts[0] = failingSends{Transport: ts[0], fail: func(env Envelope) bool { return env.Kind == KindShare && env.To == 2 }}
+	sources := []CostSource{instSource(0), instSource(1), instSource(2)}
+	_, err := FullyDistributedDeployment(ctx, ts, simplex.Uniform(n), rounds, sources)
+	if !errors.Is(err, errLinkDown) {
+		t.Fatalf("err = %v, want the failed send", err)
 	}
 }

@@ -23,60 +23,29 @@ func MasterWorkerDeployment(ctx context.Context, transports []Transport, x0 []fl
 	if len(sources) != n {
 		return MasterResult{}, nil, fmt.Errorf("cluster: need %d cost sources, got %d", n, len(sources))
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		errs      []error
-		masterRes MasterResult
-		workerRes = make([]WorkerResult, n)
-		fail      = func(err error) {
-			mu.Lock()
-			errs = append(errs, err)
-			mu.Unlock()
-			cancel()
-		}
-	)
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		res, err := RunMaster(ctx, transports[n], x0, rounds, opts...)
-		if err != nil {
-			fail(fmt.Errorf("master: %w", err))
-			return
-		}
-		mu.Lock()
-		masterRes = res
-		mu.Unlock()
-	}()
-
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := RunWorker(ctx, transports[i], i, n, x0[i], rounds, sources[i], opts...)
-			if err != nil {
-				fail(fmt.Errorf("worker %d: %w", i, err))
-				return
+	var masterRes MasterResult
+	workerRes := make([]WorkerResult, n)
+	err := fanOut(ctx, n+1, true, func(ctx context.Context, i int) (err error) {
+		if i == n {
+			if masterRes, err = RunMaster(ctx, transports[n], x0, rounds, opts...); err != nil {
+				return fmt.Errorf("master: %w", err)
 			}
-			mu.Lock()
-			workerRes[i] = res
-			mu.Unlock()
-		}(i)
-	}
-
-	wg.Wait()
-	if len(errs) > 0 {
-		return MasterResult{}, nil, errors.Join(errs...)
+			return nil
+		}
+		if workerRes[i], err = RunWorker(ctx, transports[i], i, n, x0[i], rounds, sources[i], opts...); err != nil {
+			return fmt.Errorf("worker %d: %w", i, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return MasterResult{}, nil, err
 	}
 	return masterRes, workerRes, nil
 }
 
 // FullyDistributedDeployment runs a complete Algorithm 2 deployment: peer
-// i on transports[i], each in its own goroutine.
+// i on transports[i], each in its own goroutine. Like
+// MasterWorkerDeployment, one peer's failure cancels the others.
 func FullyDistributedDeployment(ctx context.Context, transports []Transport, x0 []float64, rounds int, sources []CostSource, opts ...core.Option) ([]PeerResult, error) {
 	n := len(x0)
 	if len(transports) != n {
@@ -85,37 +54,48 @@ func FullyDistributedDeployment(ctx context.Context, transports []Transport, x0 
 	if len(sources) != n {
 		return nil, fmt.Errorf("cluster: need %d cost sources, got %d", n, len(sources))
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	res := make([]PeerResult, n)
+	err := fanOut(ctx, n, true, func(ctx context.Context, i int) (err error) {
+		if res[i], err = RunPeer(ctx, transports[i], i, x0, rounds, sources[i], opts...); err != nil {
+			return fmt.Errorf("peer %d: %w", i, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
+// fanOut runs node(ctx, i) for i in [0, n), each in its own goroutine,
+// and joins their errors. With cancelOnError the first failure cancels
+// the context of the others: the round barrier cannot complete without
+// every node. Otherwise nodes run independently to their own end.
+func fanOut(ctx context.Context, n int, cancelOnError bool, node func(ctx context.Context, i int) error) error {
+	cancel := func() {}
+	if cancelOnError {
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
 		errs []error
-		res  = make([]PeerResult, n)
 	)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := RunPeer(ctx, transports[i], i, x0, rounds, sources[i], opts...)
-			if err != nil {
+			if err := node(ctx, i); err != nil {
 				mu.Lock()
-				errs = append(errs, fmt.Errorf("peer %d: %w", i, err))
+				errs = append(errs, err)
 				mu.Unlock()
 				cancel()
-				return
 			}
-			mu.Lock()
-			res[i] = r
-			mu.Unlock()
 		}(i)
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	return res, nil
+	return errors.Join(errs...)
 }
 
 // Trajectory reassembles the per-round decision vectors from a set of

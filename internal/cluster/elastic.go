@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"dolbie/internal/core"
@@ -46,9 +45,10 @@ import (
 // drops stale-epoch traffic, which makes recovery converge the same
 // way flat-mode deadline eviction does.
 //
-// The flat, no-join configuration reduces exactly to the fail-stop
-// runtime of resilient_peer.go: RunResilientPeer is now a thin wrapper
-// over RunElasticPeer.
+// This is the one Algorithm-2 peer engine. Its flat, no-join
+// configuration is the fail-stop runtime (RunResilientPeer, a thin
+// wrapper over RunElasticPeer), and the same configuration without a
+// failure detector is the plain RunPeer.
 
 // ElasticPeerConfig parameterizes RunElasticPeer and JoinElasticPeer.
 type ElasticPeerConfig struct {
@@ -247,6 +247,20 @@ func (e *elasticPeer) ownDeath(err error) bool {
 	return errors.Is(err, ErrChaosCrashed) || errors.Is(err, ErrClosed)
 }
 
+// crashed reports whether err is this peer's own transport dying
+// mid-run: a reportable Crashed outcome under the fail-stop detector,
+// an error without one.
+func (e *elasticPeer) crashed(err error) bool {
+	return e.cfg.RoundTimeout > 0 && e.ctx.Err() == nil && e.ownDeath(err)
+}
+
+// fatalSend reports whether a failed send ends the run instead of
+// evicting its target as crashed: the peer's own context or transport
+// is gone, or the run has no detector.
+func (e *elasticPeer) fatalSend(err error) bool {
+	return e.cfg.RoundTimeout <= 0 || e.ctx.Err() != nil || e.ownDeath(err)
+}
+
 // pendingJoin reports whether id has an announced-but-unapplied
 // admission.
 func (e *elasticPeer) pendingJoin(id int) bool {
@@ -354,7 +368,7 @@ func (e *elasticPeer) dispatch(outs []core.PeerOutput) (bool, error) {
 					continue
 				}
 				if _, err := e.meter.Send(e.ctx, j, shareEnvelope(j, *o.Share)); err != nil {
-					if e.ctx.Err() != nil || e.ownDeath(err) {
+					if e.fatalSend(err) {
 						return false, err
 					}
 					failed = append(failed, j)
@@ -363,7 +377,7 @@ func (e *elasticPeer) dispatch(outs []core.PeerOutput) (bool, error) {
 		case o.Decision != nil:
 			if e.p.Alive(o.Decision.To) {
 				if _, err := e.meter.Send(e.ctx, o.Decision.To, peerDecisionEnvelope(*o.Decision)); err != nil {
-					if e.ctx.Err() != nil || e.ownDeath(err) {
+					if e.fatalSend(err) {
 						return false, err
 					}
 					failed = append(failed, o.Decision.To)
@@ -419,7 +433,7 @@ func (e *elasticPeer) missing() []int {
 // tree and may restart or complete the round).
 func (e *elasticPeer) sendTree(to int, env Envelope) ([]core.PeerOutput, error) {
 	if _, err := e.meter.Send(e.ctx, to, env); err != nil {
-		if e.ctx.Err() != nil || e.ownDeath(err) {
+		if e.fatalSend(err) {
 			return nil, err
 		}
 		return e.evictPeer(to, true)
@@ -906,11 +920,12 @@ func (w *deadlineWindow) close() {
 	}
 }
 
-// run executes rounds first..rounds, mirroring the fail-stop loop of
-// the original RunResilientPeer (to which it reduces exactly in flat,
-// no-join configurations).
+// run executes rounds first..rounds. Without a detector (RoundTimeout
+// zero, the plain RunPeer) it never evicts: it waits on the caller's
+// context alone and returns every failure as an error.
 func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 	p := e.p
+	detect := e.cfg.RoundTimeout > 0
 	var window deadlineWindow
 	finalize := func() ElasticPeerResult {
 		window.close()
@@ -924,14 +939,21 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 	}
 	// fatal classifies an error that surfaced through a handler path:
 	// the peer's own transport dying is a reportable Crashed outcome
-	// (overlay relays and eviction cascades can hit it anywhere), while
-	// everything else is a genuine failure.
+	// under the detector (overlay relays and eviction cascades can hit
+	// it anywhere), while everything else is a genuine failure.
 	fatal := func(err error) (ElasticPeerResult, error) {
-		if e.ctx.Err() == nil && e.ownDeath(err) {
+		if e.crashed(err) {
 			e.res.Crashed = true
 			return finalize(), nil
 		}
 		return finalize(), err
+	}
+	// failRound is fatal for a failure of round r's message exchange.
+	failRound := func(r int, err error) (ElasticPeerResult, error) {
+		if e.crashed(err) {
+			return fatal(err)
+		}
+		return finalize(), fmt.Errorf("cluster: peer %d round %d: %w", e.id, r, err)
 	}
 	for r := first; r <= rounds; r++ {
 		outs, err := e.applyAdmissions(r)
@@ -956,11 +978,7 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 				if o.Share != nil {
 					more, err := e.beginTreeRound(*o.Share)
 					if err != nil {
-						if e.ctx.Err() == nil && e.ownDeath(err) {
-							e.res.Crashed = true
-							return finalize(), nil
-						}
-						return finalize(), fmt.Errorf("cluster: peer %d round %d: %w", e.id, r, err)
+						return failRound(r, err)
 					}
 					treeOuts = append(treeOuts, more...)
 				} else {
@@ -977,11 +995,7 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 		outs = append(outs, obs...)
 		done, err := e.dispatch(outs)
 		if err != nil {
-			if e.ctx.Err() == nil && e.ownDeath(err) {
-				e.res.Crashed = true
-				return finalize(), nil
-			}
-			return finalize(), fmt.Errorf("cluster: peer %d round %d: %w", e.id, r, err)
+			return failRound(r, err)
 		}
 		deadline := time.Now().Add(e.cfg.RoundTimeout)
 		e.treeStrikes = 0
@@ -989,9 +1003,13 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 			if p.AliveCount() < e.cfg.MinPeers {
 				return finalize(), fmt.Errorf("%w: %d alive, need %d", ErrTooFewPeers, p.AliveCount(), e.cfg.MinPeers)
 			}
-			env, _, err := e.meter.Recv(window.until(e.ctx, deadline))
+			recvCtx := e.ctx
+			if detect {
+				recvCtx = window.until(e.ctx, deadline)
+			}
+			env, _, err := e.meter.Recv(recvCtx)
 			if err != nil {
-				if errors.Is(err, context.DeadlineExceeded) && e.ctx.Err() == nil {
+				if detect && errors.Is(err, context.DeadlineExceeded) && e.ctx.Err() == nil {
 					window.close()
 					if time.Now().Before(deadline) {
 						// Accepted progress moved the deadline past the
@@ -1019,16 +1037,12 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 					}
 					unlocked = append(unlocked, more...)
 					if done, err = e.dispatch(unlocked); err != nil {
-						if e.ctx.Err() == nil && e.ownDeath(err) {
-							e.res.Crashed = true
-							return finalize(), nil
-						}
-						return finalize(), fmt.Errorf("cluster: peer %d round %d: %w", e.id, r, err)
+						return failRound(r, err)
 					}
 					deadline = time.Now().Add(e.cfg.RoundTimeout)
 					continue
 				}
-				if e.ctx.Err() != nil {
+				if !detect || e.ctx.Err() != nil {
 					return finalize(), fmt.Errorf("cluster: peer %d recv round %d: %w", e.id, r, err)
 				}
 				// The transport itself died (e.g. chaos-injected crash).
@@ -1048,11 +1062,7 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 				e.treeStrikes = 0
 			}
 			if done, err = e.dispatch(outs); err != nil {
-				if e.ctx.Err() == nil && e.ownDeath(err) {
-					e.res.Crashed = true
-					return finalize(), nil
-				}
-				return finalize(), fmt.Errorf("cluster: peer %d round %d: %w", e.id, r, err)
+				return failRound(r, err)
 			}
 		}
 		window.close()
@@ -1067,22 +1077,36 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 // hierarchical aggregation overlay. With TopologyFlat and no joins it
 // behaves exactly like RunResilientPeer.
 func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
-	if rounds <= 0 {
-		return ElasticPeerResult{}, errors.New("cluster: rounds must be positive")
-	}
-	if src == nil {
-		return ElasticPeerResult{}, errors.New("cluster: nil cost source")
+	if err := checkPeerRun(rounds, src); err != nil {
+		return ElasticPeerResult{}, err
 	}
 	if ec.RoundTimeout <= 0 {
 		return ElasticPeerResult{}, errors.New("cluster: RoundTimeout must be positive")
-	}
-	if ec.MinPeers <= 0 {
-		ec.MinPeers = 1
 	}
 	if ec.Metrics != nil {
 		opts = append(opts, core.WithMetrics(ec.Metrics))
 	}
 	meter := NewInstrumentedMeter(tr, ec.Metrics, fmt.Sprintf("peer-%d", id))
+	return runIncumbentPeer(ctx, meter, id, x0, rounds, src, ec, opts...)
+}
+
+// checkPeerRun validates the arguments every peer entry point shares.
+func checkPeerRun(rounds int, src CostSource) error {
+	if rounds <= 0 {
+		return errors.New("cluster: rounds must be positive")
+	}
+	if src == nil {
+		return errors.New("cluster: nil cost source")
+	}
+	return nil
+}
+
+// runIncumbentPeer runs incumbent peer id of an n-peer deployment over
+// an already metered transport, from round 1.
+func runIncumbentPeer(ctx context.Context, meter *Meter, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
+	if ec.MinPeers <= 0 {
+		ec.MinPeers = 1
+	}
 	p, err := core.NewPeer(id, x0, opts...)
 	if err != nil {
 		return ElasticPeerResult{}, err
@@ -1102,11 +1126,8 @@ func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rou
 // core.NewJoinedPeer, and then participates like any incumbent from the
 // granted application round up to the deployment's final round.
 func JoinElasticPeer(ctx context.Context, tr Transport, id, contact, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
-	if rounds <= 0 {
-		return ElasticPeerResult{}, errors.New("cluster: rounds must be positive")
-	}
-	if src == nil {
-		return ElasticPeerResult{}, errors.New("cluster: nil cost source")
+	if err := checkPeerRun(rounds, src); err != nil {
+		return ElasticPeerResult{}, err
 	}
 	if ec.RoundTimeout <= 0 {
 		return ElasticPeerResult{}, errors.New("cluster: RoundTimeout must be positive")
@@ -1232,41 +1253,19 @@ func ElasticDeployment(ctx context.Context, transports []Transport, dc ElasticDe
 			ec.JoinSchedule[j.ID] = j.Round
 		}
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-		res  = make([]ElasticPeerResult, total)
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := RunElasticPeer(ctx, transports[i], i, dc.X0, dc.Rounds, dc.Sources[i], ec, opts...)
-			mu.Lock()
-			res[i] = r
-			if err != nil {
-				errs = append(errs, fmt.Errorf("peer %d: %w", i, err))
+	res := make([]ElasticPeerResult, total)
+	err := fanOut(ctx, total, false, func(ctx context.Context, i int) (err error) {
+		if i < n {
+			if res[i], err = RunElasticPeer(ctx, transports[i], i, dc.X0, dc.Rounds, dc.Sources[i], ec, opts...); err != nil {
+				return fmt.Errorf("peer %d: %w", i, err)
 			}
-			mu.Unlock()
-		}(i)
-	}
-	for _, j := range dc.Joiners {
-		wg.Add(1)
-		go func(j ElasticJoin) {
-			defer wg.Done()
-			r, err := JoinElasticPeer(ctx, transports[j.ID], j.ID, j.Contact, dc.Rounds, j.Source, ec, opts...)
-			mu.Lock()
-			res[j.ID] = r
-			if err != nil {
-				errs = append(errs, fmt.Errorf("joiner %d: %w", j.ID, err))
-			}
-			mu.Unlock()
-		}(j)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return res, errors.Join(errs...)
-	}
-	return res, nil
+			return nil
+		}
+		j := dc.Joiners[i-n]
+		if res[i], err = JoinElasticPeer(ctx, transports[i], j.ID, j.Contact, dc.Rounds, j.Source, ec, opts...); err != nil {
+			return fmt.Errorf("joiner %d: %w", j.ID, err)
+		}
+		return nil
+	})
+	return res, err
 }

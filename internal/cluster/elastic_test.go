@@ -55,44 +55,6 @@ func healthyElasticConfig(n, rounds int, topo Topology, fanout int) ElasticDeplo
 	}
 }
 
-// TestElasticFlatMatchesResilient pins the degenerate-case contract:
-// a flat, no-join elastic deployment is message-for-message the old
-// fail-stop runtime, so every per-peer trajectory and even the traffic
-// counts must be identical.
-func TestElasticFlatMatchesResilient(t *testing.T) {
-	const n, rounds = 5, 15
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	srcs := make([]CostSource, n)
-	for i := range srcs {
-		srcs[i] = instSource(i)
-	}
-	net := NewMemNet()
-	ts := make([]Transport, n)
-	for i := range ts {
-		ts[i] = net.Node(i)
-	}
-	defer closeAll(t, ts)
-	want, err := ResilientFullyDistributedDeployment(ctx, ts, simplex.Uniform(n), rounds, srcs, ResilientPeerConfig{RoundTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatalf("resilient deployment: %v", err)
-	}
-
-	got := runElasticDeployment(t, healthyElasticConfig(n, rounds, TopologyFlat, 0), nil)
-	for i := range want {
-		if !reflect.DeepEqual(got[i].resilient(), want[i]) {
-			t.Errorf("peer %d: elastic flat result diverged from resilient:\n got %+v\nwant %+v", i, got[i].resilient(), want[i])
-		}
-		if got[i].AggDepth != 0 {
-			t.Errorf("peer %d: AggDepth = %d in flat mode, want 0", i, got[i].AggDepth)
-		}
-		if got[i].RosterVersion != 0 {
-			t.Errorf("peer %d: roster version = %d with no churn, want 0", i, got[i].RosterVersion)
-		}
-	}
-}
-
 // TestElasticTreeMatchesFlat pins the overlay's core guarantee: the
 // tree reduction is an arithmetic-free fold of the same consensus, so
 // every played trajectory is bit-identical to the flat exchange while

@@ -163,8 +163,7 @@ func TestResilientMetrics(t *testing.T) {
 	}
 	res, err := RunResilientMaster(ctx, transports[n], simplex.Uniform(n), rounds, ResilientConfig{
 		RoundTimeout: 200 * time.Millisecond,
-		Metrics:      reg,
-	})
+	}, core.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"dolbie/internal/core"
 	"dolbie/internal/costfn"
+	"dolbie/internal/metrics"
 )
 
 // CostSource provides a node's local cost feedback: after playing
@@ -45,60 +47,156 @@ type MasterResult struct {
 // transport (it is not closed). Cancel the context to abort a wedged
 // deployment; the error wraps the context error.
 func RunMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, opts ...core.Option) (MasterResult, error) {
-	if rounds <= 0 {
-		return MasterResult{}, errors.New("cluster: rounds must be positive")
-	}
-	meter := NewInstrumentedMeter(tr, core.RegistryFrom(opts...), "master")
-	m, err := core.NewMaster(x0, opts...)
+	res, err := runMaster(ctx, tr, x0, rounds, ResilientConfig{}, opts...)
 	if err != nil {
 		return MasterResult{}, err
 	}
+	return MasterResult{Rounds: res.Rounds, FinalAlpha: res.FinalAlpha, Traffic: res.Traffic}, nil
+}
+
+// runMaster is the one Algorithm-1 master loop behind RunMaster and
+// RunResilientMaster: it feeds received reports to core.MasterState and
+// transmits the messages it emits. With rc.RoundTimeout > 0 it also
+// imposes a deadline on each collection phase and evicts, as
+// fail-stop crashes, the workers the phase still misses when it expires
+// and any worker a send fails to. Without a deadline every failure is
+// returned as an error, and a Recv costs no context or timer.
+func runMaster(ctx context.Context, tr Transport, x0 []float64, rounds int, rc ResilientConfig, opts ...core.Option) (ResilientResult, error) {
+	if rounds <= 0 {
+		return ResilientResult{}, errors.New("cluster: rounds must be positive")
+	}
+	reg := core.RegistryFrom(opts...)
+	meter := NewInstrumentedMeter(tr, reg, "master")
+	m, err := core.NewMaster(x0, opts...)
+	if err != nil {
+		return ResilientResult{}, err
+	}
 	n := len(x0)
 	self := MasterID(n)
-	completed := 0
-	for completed < rounds {
-		env, _, err := meter.Recv(ctx)
+	detect := rc.RoundTimeout > 0
+	minWorkers := max(rc.MinWorkers, 1)
+	var timeouts, crashes *metrics.Counter
+	if detect && reg != nil {
+		timeouts = reg.Counter(MetricRoundTimeouts, helpRoundTimeouts)
+		crashes = reg.Counter(MetricWorkersCrashed, "Workers declared crashed by the resilient master.")
+	}
+	var (
+		res    ResilientResult
+		queue  []core.MasterOutput
+		window deadlineWindow
+	)
+	defer window.close()
+	result := func() ResilientResult {
+		res.Rounds = m.Round() - 1
+		return res
+	}
+	// evict declares workers crashed; the outputs their eviction
+	// unlocks join the send queue.
+	evict := func(ids []int) error {
+		for _, id := range ids {
+			outs, err := m.Evict(id)
+			if err != nil {
+				return err
+			}
+			queue = append(queue, outs...)
+			res.Crashed = append(res.Crashed, id)
+			if crashes != nil {
+				crashes.Inc()
+			}
+		}
+		if m.AliveCount() < minWorkers {
+			return fmt.Errorf("%w: %d alive, need %d", ErrTooFewWorkers, m.AliveCount(), minWorkers)
+		}
+		return nil
+	}
+	// send transmits one message. Under fail-stop a failed send is a
+	// crash signal about the target, unless the master's own context is
+	// gone.
+	send := func(to int, env Envelope, what string) error {
+		if _, err := meter.Send(ctx, to, env); err != nil {
+			if !detect || ctx.Err() != nil {
+				return fmt.Errorf("cluster: master %s to %d: %w", what, to, err)
+			}
+			return evict([]int{to})
+		}
+		return nil
+	}
+	deadline := time.Now().Add(rc.RoundTimeout)
+	for {
+		if detect && len(queue) > 0 {
+			deadline = time.Now().Add(rc.RoundTimeout)
+		}
+		for len(queue) > 0 {
+			o := queue[0]
+			queue = queue[1:]
+			if o.Coordinate != nil {
+				for i := 0; i < n; i++ {
+					if m.Alive(i) {
+						if err := send(i, coordinateEnvelope(self, i, *o.Coordinate), "coordinate"); err != nil {
+							return result(), err
+						}
+					}
+				}
+			}
+			if o.Assign != nil && m.Alive(o.Assign.To) {
+				if err := send(o.Assign.To, assignEnvelope(self, *o.Assign), "assign"); err != nil {
+					return result(), err
+				}
+			}
+		}
+		if m.Round() > rounds {
+			break
+		}
+		recvCtx := ctx
+		if detect {
+			recvCtx = window.until(ctx, deadline)
+		}
+		env, _, err := meter.Recv(recvCtx)
 		if err != nil {
-			return MasterResult{}, fmt.Errorf("cluster: master recv (round %d): %w", m.Round(), err)
+			if detect && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+				window.close()
+				if time.Now().Before(deadline) {
+					continue // the deadline moved past the window's end
+				}
+				missing := m.Missing()
+				if timeouts != nil && len(missing) > 0 {
+					timeouts.Inc()
+				}
+				if err := evict(missing); err != nil {
+					return result(), err
+				}
+				deadline = time.Now().Add(rc.RoundTimeout)
+				continue
+			}
+			return result(), fmt.Errorf("cluster: master recv (round %d): %w", m.Round(), err)
 		}
 		var outs []core.MasterOutput
 		switch env.Kind {
 		case KindCost:
 			var r core.CostReport
 			if err := env.Decode(&r); err != nil {
-				return MasterResult{}, err
+				return result(), err
 			}
-			if outs, err = m.HandleCost(r); err != nil {
-				return MasterResult{}, fmt.Errorf("cluster: master: %w", err)
-			}
+			outs, err = m.HandleCost(r)
 		case KindDecision:
 			var r core.DecisionReport
 			if err := env.Decode(&r); err != nil {
-				return MasterResult{}, err
+				return result(), err
 			}
-			if outs, err = m.HandleDecision(r); err != nil {
-				return MasterResult{}, fmt.Errorf("cluster: master: %w", err)
-			}
+			outs, err = m.HandleDecision(r)
 		default:
-			return MasterResult{}, fmt.Errorf("cluster: master received unexpected %s from %d", env.Kind, env.From)
+			return result(), fmt.Errorf("cluster: master received unexpected %s from %d", env.Kind, env.From)
 		}
-		for _, o := range outs {
-			if o.Coordinate != nil {
-				for i := 0; i < n; i++ {
-					if _, err := meter.Send(ctx, i, coordinateEnvelope(self, i, *o.Coordinate)); err != nil {
-						return MasterResult{}, fmt.Errorf("cluster: master coordinate to %d: %w", i, err)
-					}
-				}
-			}
-			if o.Assign != nil {
-				if _, err := meter.Send(ctx, o.Assign.To, assignEnvelope(self, *o.Assign)); err != nil {
-					return MasterResult{}, fmt.Errorf("cluster: master assign to %d: %w", o.Assign.To, err)
-				}
-				completed++
-			}
+		if err != nil {
+			return result(), fmt.Errorf("cluster: master: %w", err)
 		}
+		queue = append(queue, outs...)
 	}
-	return MasterResult{Rounds: completed, FinalAlpha: m.Alpha(), Traffic: meter.Stats()}, nil
+	res = result()
+	res.FinalAlpha = m.Alpha()
+	res.Survivors = m.Survivors()
+	res.Traffic = meter.Stats()
+	return res, nil
 }
 
 // WorkerResult summarizes a completed worker run.
@@ -206,98 +304,23 @@ type PeerResult struct {
 }
 
 // RunPeer executes peer id of an Algorithm 2 deployment for the given
-// number of rounds.
+// number of rounds. It is the flat elastic peer engine without a
+// failure detector: it never evicts, and any failure, a failed send
+// included, is returned as an error.
 func RunPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, opts ...core.Option) (PeerResult, error) {
-	if rounds <= 0 {
-		return PeerResult{}, errors.New("cluster: rounds must be positive")
-	}
-	if src == nil {
-		return PeerResult{}, errors.New("cluster: nil cost source")
+	if err := checkPeerRun(rounds, src); err != nil {
+		return PeerResult{}, err
 	}
 	meter := NewInstrumentedMeter(tr, core.RegistryFrom(opts...), fmt.Sprintf("peer-%d", id))
-	p, err := core.NewPeer(id, x0, opts...)
+	er, err := runIncumbentPeer(ctx, meter, id, x0, rounds, src, ElasticPeerConfig{}, opts...)
 	if err != nil {
 		return PeerResult{}, err
 	}
-	n := len(x0)
-	res := PeerResult{
-		ID:     id,
-		Played: make([]float64, 0, rounds),
-		Costs:  make([]float64, 0, rounds),
-	}
-	// dispatch transmits a batch of peer outputs and reports completion.
-	dispatch := func(outs []core.PeerOutput) (bool, error) {
-		done := false
-		for _, o := range outs {
-			switch {
-			case o.Share != nil:
-				for j := 0; j < n; j++ {
-					if j == id {
-						continue
-					}
-					if _, err := meter.Send(ctx, j, shareEnvelope(j, *o.Share)); err != nil {
-						return false, fmt.Errorf("cluster: peer %d share to %d: %w", id, j, err)
-					}
-				}
-			case o.Decision != nil:
-				if _, err := meter.Send(ctx, o.Decision.To, peerDecisionEnvelope(*o.Decision)); err != nil {
-					return false, fmt.Errorf("cluster: peer %d decision to %d: %w", id, o.Decision.To, err)
-				}
-			case o.Done:
-				done = true
-			}
-		}
-		return done, nil
-	}
-
-	for r := 1; r <= rounds; r++ {
-		x := p.Play()
-		cost, f, err := src.Observe(r, x)
-		if err != nil {
-			return PeerResult{}, fmt.Errorf("cluster: peer %d observe round %d: %w", id, r, err)
-		}
-		outs, err := p.Observe(cost, f)
-		if err != nil {
-			return PeerResult{}, err
-		}
-		res.Played = append(res.Played, x)
-		res.Costs = append(res.Costs, cost)
-		done, err := dispatch(outs)
-		if err != nil {
-			return PeerResult{}, err
-		}
-		for !done {
-			env, _, err := meter.Recv(ctx)
-			if err != nil {
-				return PeerResult{}, fmt.Errorf("cluster: peer %d recv round %d: %w", id, r, err)
-			}
-			var outs []core.PeerOutput
-			switch env.Kind {
-			case KindShare:
-				var s core.PeerShare
-				if err := env.Decode(&s); err != nil {
-					return PeerResult{}, err
-				}
-				if outs, err = p.HandleShare(s); err != nil {
-					return PeerResult{}, fmt.Errorf("cluster: peer %d: %w", id, err)
-				}
-			case KindPeerDecision:
-				var d core.PeerDecision
-				if err := env.Decode(&d); err != nil {
-					return PeerResult{}, err
-				}
-				if outs, err = p.HandleDecision(d); err != nil {
-					return PeerResult{}, fmt.Errorf("cluster: peer %d: %w", id, err)
-				}
-			default:
-				return PeerResult{}, fmt.Errorf("cluster: peer %d received unexpected %s", id, env.Kind)
-			}
-			if done, err = dispatch(outs); err != nil {
-				return PeerResult{}, err
-			}
-		}
-	}
-	res.FinalLocalAlpha = p.LocalAlpha()
-	res.Traffic = meter.Stats()
-	return res, nil
+	return PeerResult{
+		ID:              er.ID,
+		Played:          er.Played,
+		Costs:           er.Costs,
+		FinalLocalAlpha: er.FinalLocalAlpha,
+		Traffic:         er.Traffic,
+	}, nil
 }

@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"dolbie/internal/core"
@@ -93,13 +91,18 @@ func RunResilientPeer(ctx context.Context, tr Transport, id int, x0 []float64, r
 	// The fail-stop runtime is the flat, no-join degenerate case of the
 	// elastic membership runtime (see elastic.go): same deadline
 	// eviction, same union rule, same message-for-message behavior.
-	er, err := RunElasticPeer(ctx, tr, id, x0, rounds, src, ElasticPeerConfig{
+	er, err := RunElasticPeer(ctx, tr, id, x0, rounds, src, rc.elastic(), opts...)
+	return er.resilient(), err
+}
+
+// elastic maps the fail-stop settings onto the flat elastic runtime.
+func (rc ResilientPeerConfig) elastic() ElasticPeerConfig {
+	return ElasticPeerConfig{
 		RoundTimeout: rc.RoundTimeout,
 		MinPeers:     rc.MinPeers,
 		Metrics:      rc.Metrics,
 		Topology:     TopologyFlat,
-	}, opts...)
-	return er.resilient(), err
+	}
 }
 
 // ResilientFullyDistributedDeployment runs a complete fail-stop
@@ -108,36 +111,15 @@ func RunResilientPeer(ctx context.Context, tr Transport, id int, x0 []float64, r
 // not cancel the others — crashed and self-evicted peers are reported
 // in their results while the survivors keep balancing. The returned
 // error joins only genuine failures (configuration or protocol errors).
+// It is a flat, no-join ElasticDeployment.
 func ResilientFullyDistributedDeployment(ctx context.Context, transports []Transport, x0 []float64, rounds int, sources []CostSource, rc ResilientPeerConfig, opts ...core.Option) ([]ResilientPeerResult, error) {
-	n := len(x0)
-	if len(transports) != n {
-		return nil, fmt.Errorf("cluster: need %d transports, got %d", n, len(transports))
+	er, err := ElasticDeployment(ctx, transports, ElasticDeploymentConfig{X0: x0, Rounds: rounds, Sources: sources, Peer: rc.elastic()}, opts...)
+	if er == nil {
+		return nil, err
 	}
-	if len(sources) != n {
-		return nil, fmt.Errorf("cluster: need %d cost sources, got %d", n, len(sources))
+	res := make([]ResilientPeerResult, len(er))
+	for i, r := range er {
+		res[i] = r.resilient()
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-		res  = make([]ResilientPeerResult, n)
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := RunResilientPeer(ctx, transports[i], i, x0, rounds, sources[i], rc, opts...)
-			mu.Lock()
-			res[i] = r
-			if err != nil {
-				errs = append(errs, fmt.Errorf("peer %d: %w", i, err))
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return res, errors.Join(errs...)
-	}
-	return res, nil
+	return res, err
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dolbie/internal/core"
 	"dolbie/internal/costfn"
 	"dolbie/internal/simplex"
 )
@@ -51,7 +52,7 @@ func runResilientDeployment(t *testing.T, n, rounds, crashWorker, crashRound int
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		masterRes, masterErr = RunResilientMaster(ctx, transports[n], x0, rounds, rc)
+		masterRes, masterErr = RunResilientMaster(ctx, transports[n], x0, rounds, rc, core.WithInitialAlpha(0.05))
 	}()
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -77,7 +78,7 @@ func runResilientDeployment(t *testing.T, n, rounds, crashWorker, crashRound int
 
 func TestResilientMasterNoFailures(t *testing.T) {
 	const n, rounds = 5, 12
-	rc := ResilientConfig{RoundTimeout: 2 * time.Second, InitialAlpha: 0.05}
+	rc := ResilientConfig{RoundTimeout: 2 * time.Second}
 	res, workers, errs := runResilientDeployment(t, n, rounds, -1, 0, rc)
 	if res.Rounds != rounds {
 		t.Errorf("rounds = %d, want %d", res.Rounds, rounds)
@@ -105,7 +106,7 @@ func TestResilientMasterNoFailures(t *testing.T) {
 
 func TestResilientMasterSurvivesWorkerCrash(t *testing.T) {
 	const n, rounds, crashWorker, crashRound = 5, 12, 2, 4
-	rc := ResilientConfig{RoundTimeout: 300 * time.Millisecond, InitialAlpha: 0.05}
+	rc := ResilientConfig{RoundTimeout: 300 * time.Millisecond}
 	res, workers, errs := runResilientDeployment(t, n, rounds, crashWorker, crashRound, rc)
 
 	if res.Rounds != rounds {
@@ -156,7 +157,7 @@ func TestResilientMasterAbortsBelowMinWorkers(t *testing.T) {
 		transports[i] = net.Node(i)
 	}
 	x0 := simplex.Uniform(n)
-	rc := ResilientConfig{RoundTimeout: 150 * time.Millisecond, MinWorkers: 3, InitialAlpha: 0.05}
+	rc := ResilientConfig{RoundTimeout: 150 * time.Millisecond, MinWorkers: 3}
 
 	var wg sync.WaitGroup
 	// Only workers 0 and 1 run; worker 2 never starts (instant "crash").
@@ -168,7 +169,7 @@ func TestResilientMasterAbortsBelowMinWorkers(t *testing.T) {
 			_, _ = RunWorker(ctx, transports[i], i, n, x0[i], rounds, instSource(i)) //nolint:errcheck
 		}(i)
 	}
-	_, err := RunResilientMaster(ctx, transports[n], x0, rounds, rc)
+	_, err := RunResilientMaster(ctx, transports[n], x0, rounds, rc, core.WithInitialAlpha(0.05))
 	cancel() // release the surviving workers
 	wg.Wait()
 	if !errors.Is(err, ErrTooFewWorkers) {
@@ -204,7 +205,7 @@ func TestResilientMasterMultipleCrashes(t *testing.T) {
 		transports[i] = net.Node(i)
 	}
 	x0 := simplex.Uniform(n)
-	rc := ResilientConfig{RoundTimeout: 300 * time.Millisecond, InitialAlpha: 0.05}
+	rc := ResilientConfig{RoundTimeout: 300 * time.Millisecond}
 
 	crashAt := map[int]int{1: 3, 4: 7}
 	var wg sync.WaitGroup
@@ -219,7 +220,7 @@ func TestResilientMasterMultipleCrashes(t *testing.T) {
 			_, _ = RunWorker(ctx, transports[i], i, n, x0[i], rounds, src) //nolint:errcheck
 		}(i)
 	}
-	res, err := RunResilientMaster(ctx, transports[n], x0, rounds, rc)
+	res, err := RunResilientMaster(ctx, transports[n], x0, rounds, rc, core.WithInitialAlpha(0.05))
 	if err != nil {
 		t.Fatalf("resilient master: %v", err)
 	}

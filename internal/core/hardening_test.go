@@ -199,7 +199,10 @@ func TestMasterRejectsJunkWithoutPanic(t *testing.T) {
 					// The machine may be mid-phase from junk; that's fine.
 					continue
 				}
-				if m.Round() != before+1 {
+				// The round must advance; buffered future-round reports
+				// among the junk may legitimately complete later rounds
+				// too once it does.
+				if m.Round() <= before {
 					return false
 				}
 			}

@@ -15,6 +15,13 @@ import (
 // (possible on real transports because a non-straggling worker can start
 // round t+1 before the master finishes round t) by buffering them. It is
 // not safe for concurrent use; a master node owns exactly one.
+//
+// The paper assumes a fixed, reliable worker set; like PeerState, the
+// master additionally supports the runtime's fail-stop extension: Evict
+// removes a crashed worker mid-run, after which the straggler pick, the
+// remainder and the rule-(7) cap are taken over the survivors, and late
+// traffic from the evicted id is dropped. The evicted worker's frozen
+// share is absorbed by the next completed round's straggler remainder.
 type MasterState struct {
 	n         int
 	round     int // round currently being coordinated (1-based)
@@ -30,10 +37,30 @@ type MasterState struct {
 	straggler int
 	inDecide  bool // false: collecting costs; true: collecting decisions
 
+	alive      []bool
+	aliveCount int
+	// assigned is the StragglerAssign of the call that just returned,
+	// kept until the next call: evicting its straggler as the very next
+	// action (the assignment could not be delivered) re-evaluates that
+	// round's rule-(7) cap without it.
+	assigned assignment
+	// abandoned holds the rounds whose straggler was evicted before its
+	// assignment; their late decisions are dropped.
+	abandoned map[int]bool
+
 	pendingCosts     map[int][]CostReport
 	pendingDecisions map[int][]DecisionReport
 
 	rec *Recorder
+}
+
+// assignment records a just-emitted StragglerAssign and the step size
+// before its round's cap.
+type assignment struct {
+	valid     bool
+	straggler int
+	xs        float64
+	alpha     float64
 }
 
 // MasterOutput is one message the master must transmit: exactly one of
@@ -62,6 +89,10 @@ func NewMaster(x0 []float64, opts ...Option) (*MasterState, error) {
 	if o.initialAlpha > 0 && o.initialAlpha < alpha {
 		alpha = o.initialAlpha
 	}
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
 	m := &MasterState{
 		n:                n,
 		round:            1,
@@ -71,6 +102,9 @@ func NewMaster(x0 []float64, opts ...Option) (*MasterState, error) {
 		costSeen:         make([]bool, n),
 		decisions:        make([]float64, n),
 		decSeen:          make([]bool, n),
+		alive:            alive,
+		aliveCount:       n,
+		abandoned:        make(map[int]bool),
 		pendingCosts:     make(map[int][]CostReport),
 		pendingDecisions: make(map[int][]DecisionReport),
 		rec:              NewRecorder(o.metrics),
@@ -84,25 +118,116 @@ func (m *MasterState) Round() int { return m.round }
 // Alpha returns the current step size alpha_t.
 func (m *MasterState) Alpha() float64 { return m.alpha }
 
+// Alive reports whether worker id is still part of the deployment
+// (out-of-range ids are dead).
+func (m *MasterState) Alive(id int) bool {
+	return id >= 0 && id < m.n && m.alive[id]
+}
+
+// AliveCount returns the current number of surviving workers.
+func (m *MasterState) AliveCount() int { return m.aliveCount }
+
+// Survivors lists the surviving worker ids in ascending order.
+func (m *MasterState) Survivors() []int {
+	out := make([]int, 0, m.aliveCount)
+	for i, ok := range m.alive {
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Missing lists the workers whose report the master is currently
+// waiting for: unseen costs while collecting costs, unseen
+// non-straggler decisions while collecting decisions. The resilient
+// runner evicts exactly this set when a collection deadline expires.
+func (m *MasterState) Missing() []int {
+	var out []int
+	for i, ok := range m.alive {
+		if !ok {
+			continue
+		}
+		if m.inDecide && i != m.straggler && !m.decSeen[i] || !m.inDecide && !m.costSeen[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Evict removes worker id from the deployment (fail-stop: it never
+// returns). The call is idempotent; evicting an unknown worker is an
+// error. A report already counted from the evicted worker in the
+// current phase is retracted, so the straggler pick and the remainder
+// never include a dead worker's values; if the eviction unblocks the
+// phase, the returned outputs carry the unlocked messages, exactly as
+// if the last report had arrived.
+//
+// A straggler lost before its assignment follows a fixed rule. Evicted
+// while its round collects decisions (its Coordinate could not be
+// delivered), the round is abandoned: no remainder, no cap, and the
+// round's decisions are dropped when they arrive; the next completed
+// round's remainder restores the simplex. Evicted as the very next
+// action after its StragglerAssign was emitted (the assignment could
+// not be delivered), the round stays complete, but its rule-(7) cap is
+// re-evaluated at the survivor count, which no longer includes it.
+func (m *MasterState) Evict(id int) ([]MasterOutput, error) {
+	if id < 0 || id >= m.n {
+		return nil, fmt.Errorf("core: evict unknown worker %d", id)
+	}
+	last := m.assigned
+	m.assigned = assignment{}
+	if !m.alive[id] {
+		return nil, nil
+	}
+	m.alive[id] = false
+	m.aliveCount--
+	if last.valid && last.straggler == id {
+		m.alpha = last.alpha
+		m.capAlpha(last.xs)
+	}
+	switch {
+	case !m.inDecide:
+		if m.costSeen[id] {
+			m.costSeen[id] = false
+			m.collected--
+		}
+		return m.maybeCoordinate()
+	case id == m.straggler:
+		m.abandoned[m.round] = true
+		m.nextRound()
+		return drain(m, m.pendingCosts, m.routeCost)
+	default:
+		if m.decSeen[id] {
+			m.decSeen[id] = false
+			m.decided--
+		}
+		return m.maybeAssign()
+	}
+}
+
 // HandleCost ingests a worker's CostReport. When the report completes the
 // current round's cost collection, the returned outputs contain the
 // Coordinate broadcast (and possibly further outputs unlocked by buffered
-// messages).
+// messages). Reports from evicted workers are dropped.
 func (m *MasterState) HandleCost(r CostReport) ([]MasterOutput, error) {
+	m.assigned = assignment{}
 	if r.From < 0 || r.From >= m.n {
 		return nil, fmt.Errorf("core: cost report from unknown worker %d", r.From)
 	}
+	return m.routeCost(r)
+}
+
+func (m *MasterState) routeCost(r CostReport) ([]MasterOutput, error) {
 	switch {
+	case !m.alive[r.From]:
+		return nil, nil
 	case r.Round < m.round:
 		return nil, fmt.Errorf("core: stale cost report for round %d (master at round %d)", r.Round, m.round)
 	case r.Round > m.round || m.inDecide:
 		m.pendingCosts[r.Round] = append(m.pendingCosts[r.Round], r)
 		return nil, nil
 	}
-	return m.acceptCost(r)
-}
-
-func (m *MasterState) acceptCost(r CostReport) ([]MasterOutput, error) {
 	if m.costSeen[r.From] {
 		return nil, fmt.Errorf("core: duplicate cost report from worker %d in round %d", r.From, m.round)
 	}
@@ -110,11 +235,23 @@ func (m *MasterState) acceptCost(r CostReport) ([]MasterOutput, error) {
 	m.costs[r.From] = r.Cost
 	m.rec.RecordWorkerCost(r.From, r.Cost)
 	m.collected++
-	if m.collected < m.n {
+	return m.maybeCoordinate()
+}
+
+// maybeCoordinate closes the cost collection once every survivor has
+// reported: it identifies the straggler among the survivors, lowest
+// index on ties (Algorithm 1, lines 9-12), and broadcasts the
+// Coordinate.
+func (m *MasterState) maybeCoordinate() ([]MasterOutput, error) {
+	if m.aliveCount == 0 || m.collected < m.aliveCount {
 		return nil, nil
 	}
-	// All costs in: identify straggler (Algorithm 1, lines 9-12).
-	m.straggler = simplex.ArgMax(m.costs)
+	m.straggler = -1
+	for i, ok := range m.alive {
+		if ok && (m.straggler == -1 || m.costs[i] > m.costs[m.straggler]) {
+			m.straggler = i
+		}
+	}
 	m.inDecide = true
 	m.decided = 0
 	for i := range m.decSeen {
@@ -126,26 +263,12 @@ func (m *MasterState) acceptCost(r CostReport) ([]MasterOutput, error) {
 		Alpha:      m.alpha,
 		Straggler:  m.straggler,
 	}}}
-	if m.n == 1 {
-		// Degenerate single-worker deployment: there are no non-straggler
-		// decisions to wait for; the lone worker keeps the whole load.
-		out = append(out, MasterOutput{Assign: &StragglerAssign{
-			Round: m.round,
-			To:    0,
-			Next:  1,
-		}})
-		m.rec.RecordRound(m.straggler, m.costs[m.straggler], m.alpha)
-		m.round++
-		m.inDecide = false
-		m.collected = 0
-		m.costSeen[0] = false
-		more, err := m.drainCosts()
-		if err != nil {
-			return nil, err
-		}
-		return append(out, more...), nil
+	more, err := drain(m, m.pendingDecisions, m.routeDecision)
+	if err == nil && len(more) == 0 {
+		// A lone survivor has no decisions to wait for: it keeps the
+		// whole load.
+		more, err = m.maybeAssign()
 	}
-	more, err := m.drainDecisions()
 	if err != nil {
 		return nil, err
 	}
@@ -155,21 +278,25 @@ func (m *MasterState) acceptCost(r CostReport) ([]MasterOutput, error) {
 // HandleDecision ingests a non-straggler's DecisionReport. When it
 // completes the round, the outputs contain the StragglerAssign message
 // (and possibly further outputs unlocked by buffered cost reports).
+// Decisions from evicted workers, and for abandoned rounds, are dropped.
 func (m *MasterState) HandleDecision(r DecisionReport) ([]MasterOutput, error) {
+	m.assigned = assignment{}
 	if r.From < 0 || r.From >= m.n {
 		return nil, fmt.Errorf("core: decision report from unknown worker %d", r.From)
 	}
+	return m.routeDecision(r)
+}
+
+func (m *MasterState) routeDecision(r DecisionReport) ([]MasterOutput, error) {
 	switch {
+	case !m.alive[r.From] || m.abandoned[r.Round]:
+		return nil, nil
 	case r.Round < m.round:
 		return nil, fmt.Errorf("core: stale decision report for round %d (master at round %d)", r.Round, m.round)
 	case r.Round > m.round || !m.inDecide:
 		m.pendingDecisions[r.Round] = append(m.pendingDecisions[r.Round], r)
 		return nil, nil
 	}
-	return m.acceptDecision(r)
-}
-
-func (m *MasterState) acceptDecision(r DecisionReport) ([]MasterOutput, error) {
 	if r.From == m.straggler {
 		return nil, fmt.Errorf("core: straggler %d must not send a decision in round %d", r.From, m.round)
 	}
@@ -179,14 +306,22 @@ func (m *MasterState) acceptDecision(r DecisionReport) ([]MasterOutput, error) {
 	m.decSeen[r.From] = true
 	m.decisions[r.From] = r.Next
 	m.decided++
-	if m.decided < m.n-1 {
+	return m.maybeAssign()
+}
+
+// maybeAssign closes the decision collection once every surviving
+// non-straggler has decided: it computes the straggler's remainder
+// (Algorithm 1, line 14), shrinks the step size (line 16) and advances
+// to the next round.
+func (m *MasterState) maybeAssign() ([]MasterOutput, error) {
+	if !m.inDecide || m.decided < m.aliveCount-1 {
 		return nil, nil
 	}
-	// All non-straggler decisions in: compute the straggler's remainder
-	// (Algorithm 1, line 14) and shrink the step size (line 16).
+	// Sum in worker-id order: float addition is not associative, so the
+	// arrival order must not leak into the remainder.
 	var taken float64
-	for i := 0; i < m.n; i++ {
-		if i != m.straggler {
+	for i, seen := range m.decSeen {
+		if seen {
 			taken += m.decisions[i]
 		}
 	}
@@ -194,64 +329,49 @@ func (m *MasterState) acceptDecision(r DecisionReport) ([]MasterOutput, error) {
 	if xs < 0 { // floating-point dust; feasibility is guaranteed by the alpha invariant
 		xs = 0
 	}
-	if xs > drainEps { // a fully drained straggler degenerates the cap; see balancer.go
-		if c := AlphaCapScaled(xs, m.n, m.capScale); c < m.alpha {
-			m.alpha = c
-		}
-	}
+	m.assigned = assignment{valid: true, straggler: m.straggler, xs: xs, alpha: m.alpha}
+	m.capAlpha(xs)
 	out := []MasterOutput{{Assign: &StragglerAssign{
 		Round: m.round,
 		To:    m.straggler,
 		Next:  xs,
 	}}}
-
-	// Advance to the next round and drain any buffered cost reports.
 	m.rec.RecordRound(m.straggler, m.costs[m.straggler], m.alpha)
-	m.round++
-	m.inDecide = false
-	m.collected = 0
-	for i := range m.costSeen {
-		m.costSeen[i] = false
-	}
-	more, err := m.drainCosts()
+	m.nextRound()
+	more, err := drain(m, m.pendingCosts, m.routeCost)
 	if err != nil {
 		return nil, err
 	}
 	return append(out, more...), nil
 }
 
-func (m *MasterState) drainCosts() ([]MasterOutput, error) {
-	pending := m.pendingCosts[m.round]
-	if len(pending) == 0 {
-		return nil, nil
-	}
-	delete(m.pendingCosts, m.round)
-	var out []MasterOutput
-	for _, r := range pending {
-		o, err := m.acceptCost(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o...)
-		if m.inDecide {
-			// Remaining buffered costs (if any) belong to a later point in
-			// the protocol and stay buffered; acceptCost already switched
-			// phases, so re-route leftovers.
-			continue
+// capAlpha applies the rule-(7) cap for remainder xs at the survivor
+// count.
+func (m *MasterState) capAlpha(xs float64) {
+	if xs > drainEps { // a fully drained straggler degenerates the cap; see balancer.go
+		if c := AlphaCapScaled(xs, m.aliveCount, m.capScale); c < m.alpha {
+			m.alpha = c
 		}
 	}
-	return out, nil
 }
 
-func (m *MasterState) drainDecisions() ([]MasterOutput, error) {
-	pending := m.pendingDecisions[m.round]
-	if len(pending) == 0 {
-		return nil, nil
+// nextRound resets the collection state for the next round.
+func (m *MasterState) nextRound() {
+	m.round++
+	m.inDecide = false
+	m.collected = 0
+	for i := range m.costSeen {
+		m.costSeen[i] = false
 	}
-	delete(m.pendingDecisions, m.round)
+}
+
+// drain re-routes the reports buffered for the master's current round.
+func drain[R any](m *MasterState, pending map[int][]R, route func(R) ([]MasterOutput, error)) ([]MasterOutput, error) {
+	reports := pending[m.round]
+	delete(pending, m.round)
 	var out []MasterOutput
-	for _, r := range pending {
-		o, err := m.acceptDecision(r)
+	for _, r := range reports {
+		o, err := route(r)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dolbie/internal/cluster"
+	"dolbie/internal/core"
 	"dolbie/internal/costfn"
 	"dolbie/internal/mlsim"
 	"dolbie/internal/simplex"
@@ -87,11 +88,9 @@ func ResilienceTable(cfg Config) (Table, error) {
 			cluster.RunWorker(ctx, transports[i], i, n, 1/float64(n), rounds, src)
 		}(i)
 	}
-	res, err := cluster.RunResilientMaster(ctx, transports[n], simplex.Uniform(n), rounds, cluster.ResilientConfig{
-		RoundTimeout:  300 * time.Millisecond,
-		InitialAlpha:  cfg.Alpha1,
-		StepRuleScale: float64(cfg.BatchSize),
-	})
+	res, err := cluster.RunResilientMaster(ctx, transports[n], simplex.Uniform(n), rounds,
+		cluster.ResilientConfig{RoundTimeout: 300 * time.Millisecond},
+		core.WithInitialAlpha(cfg.Alpha1), core.WithStepRuleScale(float64(cfg.BatchSize)))
 	if err != nil {
 		return Table{}, fmt.Errorf("experiments: resilient deployment: %w", err)
 	}

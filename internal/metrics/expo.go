@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -13,7 +14,23 @@ import (
 // WriteText renders every family in the Prometheus text exposition
 // format (version 0.0.4), families sorted by name and series by label
 // values, so the output is deterministic and diffable in golden tests.
+// Concurrent calls are serialized (see OnCollect); the snapshot is
+// rendered in memory first, so a slow writer does not hold up other
+// scrapes.
 func (r *Registry) WriteText(w io.Writer) error {
+	var buf bytes.Buffer
+	if err := r.render(bufio.NewWriter(&buf)); err != nil {
+		return err
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
+// render runs the OnCollect hooks and renders every family as one
+// scrape.
+func (r *Registry) render(bw *bufio.Writer) error {
+	r.scrape.Lock()
+	defer r.scrape.Unlock()
 	r.mu.Lock()
 	hooks := append([]func(){}, r.hooks...)
 	r.mu.Unlock()
@@ -28,7 +45,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	bw := bufio.NewWriter(w)
 	for _, f := range fams {
 		if err := f.writeText(bw); err != nil {
 			return err

@@ -59,6 +59,10 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	hooks    []func()
+
+	// scrape serializes WriteText calls, so each scrape's hooks and
+	// rendering form one snapshot.
+	scrape sync.Mutex
 }
 
 // NewRegistry constructs an empty registry.
@@ -72,8 +76,10 @@ func NewRegistry() *Registry {
 // tallies) use the hook to refresh their registry series to one
 // consistent snapshot per scrape instead of paying a registry update on
 // every event. Hooks run in registration order on the scraping
-// goroutine and must be safe for concurrent invocation (scrapes can
-// overlap).
+// goroutine. Scrapes are serialized per registry — hooks and rendering
+// of one WriteText finish before the next one's hooks start — so a hook
+// needs no locking against other scrapes, and every scrape renders the
+// values its own hooks set. A hook must not call WriteText.
 func (r *Registry) OnCollect(fn func()) {
 	if fn == nil {
 		panic("metrics: nil OnCollect hook")

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -304,4 +305,49 @@ func TestHistogramMerge(t *testing.T) {
 		}()
 		h.Merge([]uint64{1}, 0, 0, 1)
 	}()
+}
+
+// TestConcurrentScrapesAreAtomic drives overlapping WriteText calls
+// whose hook advances two counters together. Every scrape must render
+// the pair equal: one scrape's hook must not run between another
+// scrape's rendering of the first counter and of the second.
+func TestConcurrentScrapesAreAtomic(t *testing.T) {
+	reg := NewRegistry()
+	first := reg.Counter("pair_a_total", "advanced with pair_b_total")
+	second := reg.Counter("pair_b_total", "advanced with pair_a_total")
+	reg.OnCollect(func() {
+		first.Inc()
+		runtime.Gosched()
+		second.Inc()
+	})
+	const scrapers, scrapes = 4, 200
+	var wg sync.WaitGroup
+	errs := make(chan string, scrapers)
+	for g := 0; g < scrapers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < scrapes; i++ {
+				var sb strings.Builder
+				if err := reg.WriteText(&sb); err != nil {
+					errs <- err.Error()
+					return
+				}
+				var a, b float64
+				for _, line := range strings.Split(sb.String(), "\n") {
+					fmt.Sscanf(line, "pair_a_total %g", &a) //nolint:errcheck // non-matching lines leave a unset
+					fmt.Sscanf(line, "pair_b_total %g", &b) //nolint:errcheck // likewise for b
+				}
+				if a != b {
+					errs <- fmt.Sprintf("scrape rendered pair_a_total=%v pair_b_total=%v", a, b)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

@@ -19,10 +19,12 @@ build:
 # turn ring (under the race detector: mutual exclusion, FIFO grants,
 # no lost turns across wraparound), and geo topology validation
 # (operator-supplied region/RTT configs), plus the elastic roster against
-# its map-based reference model (arbitrary join/evict sequences) and the
+# its map-based reference model (arbitrary join/evict sequences), the
 # Algorithm-1 master state machine under fail-stop evictions, lost
-# messages and late traffic from evicted workers. One invocation per
-# target: -fuzz matches only one.
+# messages and late traffic from evicted workers, and the Algorithm-2
+# peer state machine against its dense reference model (flat and tree
+# schedules with evictions, admissions and early messages). One
+# invocation per target: -fuzz matches only one.
 vet: docs
 	$(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
@@ -35,6 +37,7 @@ vet: docs
 	$(GO) test -run='^$$' -fuzz=FuzzGeoConfig -fuzztime=5s ./internal/geo/
 	$(GO) test -run='^$$' -fuzz=FuzzRoster -fuzztime=5s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz=FuzzMasterEvict -fuzztime=5s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzPeerStateDense -fuzztime=5s ./internal/core/
 
 # Documentation coverage and link integrity: every exported declaration
 # and every package needs a real doc comment, and every relative link in
@@ -132,6 +135,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzGeoConfig -fuzztime=10s ./internal/geo/
 	$(GO) test -fuzz=FuzzRoster -fuzztime=10s ./internal/cluster/
 	$(GO) test -fuzz=FuzzMasterEvict -fuzztime=10s ./internal/core/
+	$(GO) test -fuzz=FuzzPeerStateDense -fuzztime=10s ./internal/core/
 
 examples:
 	$(GO) run ./examples/quickstart

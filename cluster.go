@@ -173,7 +173,10 @@ func NewMemNet(opts ...MemNetOption) *MemNet { return cluster.NewMemNet(opts...)
 // NewReliable to exercise lossy-network deployments.
 func WithDropProb(p float64, seed int64) MemNetOption { return cluster.WithDropProb(p, seed) }
 
-// WithInboxBuffer overrides a MemNet's per-node inbox capacity.
+// WithInboxBuffer overrides a MemNet's per-node inbox capacity
+// (default 1024 messages): Send blocks while that many wait undelivered.
+// Inbox storage is allocated on demand, so the capacity is a bound, not
+// a preallocation.
 func WithInboxBuffer(n int) MemNetOption { return cluster.WithInboxBuffer(n) }
 
 // WithCodec selects the wire codec a MemNet uses to size simulated

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"dolbie/internal/cluster"
@@ -20,8 +21,9 @@ import (
 // flat all-to-all exchange (O(N^2) messages per round, swept up to 512)
 // and the hierarchical tree aggregation overlay (~3N messages per
 // round, swept to 4096) — and reports throughput, set-up time,
-// steady-state time per round, per-worker traffic, aggregation depth,
-// and the final min-max gap against the offline optimum. The headline
+// steady-state time per round, heap in use, per-worker traffic,
+// aggregation depth, and the final min-max gap against the offline
+// optimum. The headline
 // measurement is the traffic column: bytes per round per worker stays
 // O(1) under the tree overlay while growing O(N) flat, which is what
 // lets one deployment scale from the paper's 8 workers to thousands.
@@ -62,6 +64,10 @@ type scaleRunStats struct {
 	// RoundMs is peer 0's steady-state wall-clock time per round, from
 	// the start of round 2 to the start of the last round.
 	RoundMs float64 `json:"round_ms"`
+	// HeapMB is the Go heap in use, in MB, when peer 0 starts the last
+	// round: the whole deployment's live state in one process
+	// (timing-dependent, like the wall-clock columns).
+	HeapMB float64 `json:"heap_mb"`
 	// FinalMaxCost is the realized min-max objective in the last round.
 	FinalMaxCost float64 `json:"final_max_cost"`
 	// OptimalMaxCost is the offline instantaneous optimum for the same
@@ -119,9 +125,9 @@ func runScaleBench(outPath string, out io.Writer) error {
 				return fmt.Errorf("%s N=%d: %w", topo, n, err)
 			}
 			rep.Runs = append(rep.Runs, stats)
-			fmt.Fprintf(out, "  %-4s N=%-5d depth %d  %10.0f msgs/round  %8.1f B/round/worker  %7.1f rounds/s  setup %6.3fs  %8.2f ms/round  gap %+.2f%%\n",
+			fmt.Fprintf(out, "  %-4s N=%-5d depth %d  %10.0f msgs/round  %8.1f B/round/worker  %7.1f rounds/s  setup %6.3fs  %8.2f ms/round  heap %7.1f MB  gap %+.2f%%\n",
 				stats.Topology, n, stats.AggDepth, stats.MsgsPerRound,
-				stats.BytesPerRoundPerWorker, stats.RoundsPerSec, stats.SetupS, stats.RoundMs, stats.FinalGapPct)
+				stats.BytesPerRoundPerWorker, stats.RoundsPerSec, stats.SetupS, stats.RoundMs, stats.HeapMB, stats.FinalGapPct)
 		}
 	}
 	raw, err := json.MarshalIndent(rep, "", "  ")
@@ -138,14 +144,18 @@ func runScaleBench(outPath string, out io.Writer) error {
 // scaleRun executes one fault-free elastic deployment of size n and
 // derives the cell's measurements.
 func scaleRun(topo cluster.Topology, n int) (scaleRunStats, error) {
+	// Collect the previous cell's garbage first, so heap_mb holds this
+	// deployment alone.
+	runtime.GC()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 	build := time.Now()
 	// Flat peers send to every other peer in a loop before receiving,
 	// so an inbox smaller than the N-1 shares of the rounds in flight can
-	// deadlock the exchange: flat cells get 4N slots. Tree peers receive
-	// O(fanout) messages per round, so the default inbox suffices —
-	// 4N slots would preallocate N*4N channel entries at N=4096.
+	// deadlock the exchange: flat cells get a capacity of 4N messages.
+	// Inboxes allocate on demand, so that capacity costs memory only for
+	// the messages actually queued. Tree peers receive O(fanout) messages
+	// per round, so the default capacity suffices.
 	var opts []cluster.MemNetOption
 	if topo == cluster.TopologyFlat {
 		opts = append(opts, cluster.WithInboxBuffer(4*n))
@@ -160,9 +170,15 @@ func scaleRun(topo cluster.Topology, n int) (scaleRunStats, error) {
 	sources := scaleSources(funcs)
 	// Peer 0's round starts: starts[r] is when its round r+1 began.
 	starts := make([]time.Time, 0, scaleRounds)
+	var heap uint64
 	src0 := sources[0]
 	sources[0] = cluster.FuncSource(func(round int, x float64) (float64, costfn.Func, error) {
 		starts = append(starts, time.Now())
+		if round == scaleRounds {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			heap = ms.HeapInuse
+		}
 		return src0.Observe(round, x)
 	})
 	dc := cluster.ElasticDeploymentConfig{
@@ -204,6 +220,7 @@ func scaleRun(topo cluster.Topology, n int) (scaleRunStats, error) {
 	stats.RoundsPerSec = scaleRounds / elapsed.Seconds()
 	stats.SetupS = starts[1].Sub(build).Seconds()
 	stats.RoundMs = float64(starts[scaleRounds-1].Sub(starts[1])) / float64(time.Millisecond) / (scaleRounds - 2)
+	stats.HeapMB = float64(heap) / (1 << 20)
 	stats.FinalMaxCost = finalMax
 	opt, err := optimum.Solve(funcs, 0)
 	if err != nil {

@@ -114,7 +114,9 @@ type ElasticPeerResult struct {
 	FinalX float64
 	// FinalLocalAlpha is the peer's local step size when it stopped.
 	FinalLocalAlpha float64
-	// Survivors is the peer's final view of the live peer set.
+	// Survivors is the peer's final view of the live peer set, in
+	// ascending order. It may alias the final roster snapshot, which
+	// other peers' results can share; callers must not mutate it.
 	Survivors []int
 	// RosterVersion is the peer's final roster version.
 	RosterVersion uint64
@@ -920,6 +922,23 @@ func (w *deadlineWindow) close() {
 	}
 }
 
+// survivors is the final survivor set. The roster and the protocol
+// state apply the same joins and evictions, so the roster's immutable
+// snapshot normally equals it and is handed out without a copy; only a
+// peer that stopped between the two updates gets a fresh list.
+func (e *elasticPeer) survivors() []int {
+	view := e.rost.view()
+	if len(view) != e.p.AliveCount() {
+		return e.p.Survivors()
+	}
+	for _, id := range view {
+		if !e.p.Alive(id) {
+			return e.p.Survivors()
+		}
+	}
+	return view
+}
+
 // run executes rounds first..rounds. Without a detector (RoundTimeout
 // zero, the plain RunPeer) it never evicts: it waits on the caller's
 // context alone and returns every failure as an error.
@@ -931,7 +950,7 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 		window.close()
 		e.res.FinalX = p.X()
 		e.res.FinalLocalAlpha = p.LocalAlpha()
-		e.res.Survivors = p.Survivors()
+		e.res.Survivors = e.survivors()
 		e.res.RosterVersion = e.rost.Version()
 		e.res.RosterLog = e.rost.Events()
 		e.res.Traffic = e.meter.Stats()
@@ -1077,6 +1096,12 @@ func (e *elasticPeer) run(first, rounds int) (ElasticPeerResult, error) {
 // hierarchical aggregation overlay. With TopologyFlat and no joins it
 // behaves exactly like RunResilientPeer.
 func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
+	return runElasticPeer(ctx, tr, id, x0, rounds, src, ec, initialMembers(len(x0)), opts...)
+}
+
+// runElasticPeer is RunElasticPeer over a given version-0 roster slice
+// (see runIncumbentPeer).
+func runElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, members []int, opts ...core.Option) (ElasticPeerResult, error) {
 	if err := checkPeerRun(rounds, src); err != nil {
 		return ElasticPeerResult{}, err
 	}
@@ -1087,7 +1112,7 @@ func RunElasticPeer(ctx context.Context, tr Transport, id int, x0 []float64, rou
 		opts = append(opts, core.WithMetrics(ec.Metrics))
 	}
 	meter := NewInstrumentedMeter(tr, ec.Metrics, fmt.Sprintf("peer-%d", id))
-	return runIncumbentPeer(ctx, meter, id, x0, rounds, src, ec, opts...)
+	return runIncumbentPeer(ctx, meter, id, x0, rounds, src, ec, members, opts...)
 }
 
 // checkPeerRun validates the arguments every peer entry point shares.
@@ -1101,9 +1126,22 @@ func checkPeerRun(rounds int, src CostSource) error {
 	return nil
 }
 
+// initialMembers is the version-0 roster of an n-peer deployment: the
+// ids 0..n-1 in ascending order.
+func initialMembers(n int) []int {
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
+	}
+	return members
+}
+
 // runIncumbentPeer runs incumbent peer id of an n-peer deployment over
-// an already metered transport, from round 1.
-func runIncumbentPeer(ctx context.Context, meter *Meter, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, opts ...core.Option) (ElasticPeerResult, error) {
+// an already metered transport, from round 1. members is the version-0
+// roster from initialMembers(len(x0)); the peer's roster adopts it
+// without copying, so one slice can serve every incumbent of a
+// deployment (churn replaces a roster's slice, never writes it).
+func runIncumbentPeer(ctx context.Context, meter *Meter, id int, x0 []float64, rounds int, src CostSource, ec ElasticPeerConfig, members []int, opts ...core.Option) (ElasticPeerResult, error) {
 	if ec.MinPeers <= 0 {
 		ec.MinPeers = 1
 	}
@@ -1111,11 +1149,7 @@ func runIncumbentPeer(ctx context.Context, meter *Meter, id int, x0 []float64, r
 	if err != nil {
 		return ElasticPeerResult{}, err
 	}
-	members := make([]int, len(x0))
-	for i := range members {
-		members[i] = i
-	}
-	e := newElasticPeer(ctx, ec, id, p, NewRoster(members), meter, src, rounds)
+	e := newElasticPeer(ctx, ec, id, p, &Roster{members: members}, meter, src, rounds)
 	e.res.FirstRound = 1
 	return e.run(1, rounds)
 }
@@ -1253,10 +1287,13 @@ func ElasticDeployment(ctx context.Context, transports []Transport, dc ElasticDe
 			ec.JoinSchedule[j.ID] = j.Round
 		}
 	}
+	// Every incumbent starts from the same version-0 roster: one shared
+	// immutable slice instead of N copies.
+	members := initialMembers(n)
 	res := make([]ElasticPeerResult, total)
 	err := fanOut(ctx, total, false, func(ctx context.Context, i int) (err error) {
 		if i < n {
-			if res[i], err = RunElasticPeer(ctx, transports[i], i, dc.X0, dc.Rounds, dc.Sources[i], ec, opts...); err != nil {
+			if res[i], err = runElasticPeer(ctx, transports[i], i, dc.X0, dc.Rounds, dc.Sources[i], ec, members, opts...); err != nil {
 				return fmt.Errorf("peer %d: %w", i, err)
 			}
 			return nil

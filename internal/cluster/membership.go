@@ -36,6 +36,8 @@ type RosterEvent struct {
 
 // Roster is one peer's versioned view of the elastic membership. The
 // zero value is not usable; construct with NewRoster or NewRosterAt.
+// (Inside the package a deployment hands one ascending slice to every
+// incumbent's Roster without copying; see runIncumbentPeer.)
 // Versions increase by at least one per applied change and never
 // decrease; between churn events all live peers converge to the same
 // member set (evictions by union of notices, admissions by applying the

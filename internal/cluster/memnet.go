@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"dolbie/internal/wire"
 )
@@ -18,17 +19,18 @@ type delivery struct {
 }
 
 // MemNet is an in-memory network hub for tests and single-process
-// simulations. Every registered node gets a buffered inbox; Send enqueues
-// directly, so delivery preserves per-receiver FIFO order of the send
-// operations. Deterministic fault injection (message drops and node
-// partitions) is available for failure testing. Messages are not
+// simulations. Every registered node gets a bounded FIFO inbox whose
+// storage is allocated on demand, so an idle node costs a few words
+// whatever the capacity; Send enqueues directly, so delivery preserves
+// per-receiver FIFO order of the send operations. Deterministic fault
+// injection (message drops and node partitions) is available for
+// failure testing. Messages are not
 // actually encoded, but every send is sized with the hub's codec
 // (wire.FrameSize, default binary) so metered traffic matches what a
 // real TCP deployment of the same codec would carry.
 type MemNet struct {
 	mu       sync.Mutex
-	inboxes  map[int]chan delivery
-	closed   map[int]bool
+	nodes    map[int]*memNode
 	dropProb float64
 	rng      *rand.Rand
 	cut      map[[2]int]bool // severed directed links
@@ -54,7 +56,10 @@ func WithDropProb(p float64, seed int64) MemNetOption {
 	}
 }
 
-// WithInboxBuffer overrides the per-node inbox capacity (default 1024).
+// WithInboxBuffer overrides the per-node inbox capacity (default 1024):
+// the number of undelivered messages a node can hold before Send blocks.
+// The queue is allocated on demand as messages arrive, so a large
+// capacity costs memory only while messages actually wait.
 func WithInboxBuffer(n int) MemNetOption {
 	return func(m *MemNet) {
 		if n > 0 {
@@ -76,11 +81,10 @@ func WithCodec(c wire.Codec) MemNetOption {
 // NewMemNet constructs an empty hub.
 func NewMemNet(opts ...MemNetOption) *MemNet {
 	m := &MemNet{
-		inboxes: make(map[int]chan delivery),
-		closed:  make(map[int]bool),
-		cut:     make(map[[2]int]bool),
-		buffer:  1024,
-		codec:   wire.Default,
+		nodes:  make(map[int]*memNode),
+		cut:    make(map[[2]int]bool),
+		buffer: 1024,
+		codec:  wire.Default,
 	}
 	for _, opt := range opts {
 		opt(m)
@@ -92,10 +96,12 @@ func NewMemNet(opts ...MemNetOption) *MemNet {
 func (m *MemNet) Node(id int) Transport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.inboxes[id]; !ok {
-		m.inboxes[id] = make(chan delivery, m.buffer)
+	node, ok := m.nodes[id]
+	if !ok {
+		node = &memNode{net: m, id: id}
+		m.nodes[id] = node
 	}
-	return &memTransport{net: m, id: id}
+	return node
 }
 
 // Cut severs the directed link from -> to; messages sent over it are
@@ -119,18 +125,19 @@ func (m *MemNet) Heal(from, to int) {
 	delete(m.cut, [2]int{from, to})
 }
 
-func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, error) {
+func (m *MemNet) send(ctx context.Context, src *memNode, to int, env Envelope) (int, error) {
+	from := src.id
 	n, err := wire.FrameSize(m.codec, env)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: send to %d: %w", to, err)
 	}
 	m.mu.Lock()
-	if m.closed[from] {
+	if src.closed.Load() {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("%w (node %d)", ErrClosed, from)
 	}
-	inbox, ok := m.inboxes[to]
-	if !ok || m.closed[to] {
+	dst, ok := m.nodes[to]
+	if !ok || dst.closed.Load() {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("%w: %d", ErrUnknownNode, to)
 	}
@@ -144,51 +151,115 @@ func (m *MemNet) send(ctx context.Context, from, to int, env Envelope) (int, err
 	}
 	m.mu.Unlock()
 
-	select {
-	case inbox <- delivery{env: env, n: n}:
-		return n, nil
-	case <-ctx.Done():
-		return 0, fmt.Errorf("cluster: send to %d: %w", to, ctx.Err())
+	if err := dst.push(ctx, delivery{env: env, n: n}, m.buffer); err != nil {
+		return 0, fmt.Errorf("cluster: send to %d: %w", to, err)
 	}
+	return n, nil
 }
 
-func (m *MemNet) recv(ctx context.Context, id int) (Envelope, int, error) {
-	m.mu.Lock()
-	inbox, ok := m.inboxes[id]
-	closed := m.closed[id]
-	m.mu.Unlock()
-	if !ok || closed {
-		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, id)
-	}
-	select {
-	case d := <-inbox:
-		return d.env, d.n, nil
-	case <-ctx.Done():
-		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", id, ctx.Err())
-	}
+// minInbox is the first allocation of a node's queue.
+const minInbox = 4
+
+// memNode is one node of a MemNet and its Transport endpoint. Its inbox
+// is a ring-buffer FIFO behind the node's own lock: it starts empty,
+// doubles on demand up to the hub's capacity, and Send blocks while it
+// is full. A blocked Send or Recv waits on a wake channel that the next
+// pop or push closes; the channel is made only when someone waits and
+// every state change re-arms it, so no wake-up is lost and the waiter
+// re-checks the queue under the lock.
+type memNode struct {
+	net    *MemNet
+	id     int
+	closed atomic.Bool
+
+	mu       sync.Mutex
+	buf      []delivery // ring; len(buf) is the allocated capacity
+	head     int32
+	count    int32
+	recvWake chan struct{} // closed by the next push; nil when no Recv waits
+	sendWake chan struct{} // closed by the next pop; nil when no Send waits
 }
 
-func (m *MemNet) closeNode(id int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed[id] = true
+var _ Transport = (*memNode)(nil)
+
+// push appends d, blocking while limit messages are queued.
+func (q *memNode) push(ctx context.Context, d delivery, limit int) error {
+	q.mu.Lock()
+	for int(q.count) >= limit {
+		if q.sendWake == nil {
+			q.sendWake = make(chan struct{})
+		}
+		wake := q.sendWake
+		q.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		q.mu.Lock()
+	}
+	if int(q.count) == len(q.buf) {
+		buf := make([]delivery, min(max(2*len(q.buf), minInbox), limit))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(int(q.head)+int(q.count))%len(q.buf)] = d
+	q.count++
+	if q.recvWake != nil {
+		close(q.recvWake)
+		q.recvWake = nil
+	}
+	q.mu.Unlock()
 	return nil
 }
 
-// memTransport is a node's endpoint into a MemNet.
-type memTransport struct {
-	net *MemNet
-	id  int
+// pop removes the oldest message, blocking while the queue is empty.
+func (q *memNode) pop(ctx context.Context) (delivery, error) {
+	q.mu.Lock()
+	for q.count == 0 {
+		if q.recvWake == nil {
+			q.recvWake = make(chan struct{})
+		}
+		wake := q.recvWake
+		q.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return delivery{}, ctx.Err()
+		}
+		q.mu.Lock()
+	}
+	d := q.buf[q.head]
+	q.buf[q.head] = delivery{} // drop the payload reference
+	q.head = int32((int(q.head) + 1) % len(q.buf))
+	q.count--
+	if q.sendWake != nil {
+		close(q.sendWake)
+		q.sendWake = nil
+	}
+	q.mu.Unlock()
+	return d, nil
 }
 
-var _ Transport = (*memTransport)(nil)
-
-func (t *memTransport) Send(ctx context.Context, to int, env Envelope) (int, error) {
-	return t.net.send(ctx, t.id, to, env)
+func (q *memNode) Send(ctx context.Context, to int, env Envelope) (int, error) {
+	return q.net.send(ctx, q, to, env)
 }
 
-func (t *memTransport) Recv(ctx context.Context) (Envelope, int, error) {
-	return t.net.recv(ctx, t.id)
+func (q *memNode) Recv(ctx context.Context) (Envelope, int, error) {
+	if q.closed.Load() {
+		return Envelope{}, 0, fmt.Errorf("%w (node %d)", ErrClosed, q.id)
+	}
+	d, err := q.pop(ctx)
+	if err != nil {
+		return Envelope{}, 0, fmt.Errorf("cluster: recv on %d: %w", q.id, err)
+	}
+	return d.env, d.n, nil
 }
 
-func (t *memTransport) Close() error { return t.net.closeNode(t.id) }
+// Close marks the node closed: later sends from or to it fail, and so
+// does a later Recv.
+func (q *memNode) Close() error {
+	q.closed.Store(true)
+	return nil
+}

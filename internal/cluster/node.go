@@ -312,7 +312,7 @@ func RunPeer(ctx context.Context, tr Transport, id int, x0 []float64, rounds int
 		return PeerResult{}, err
 	}
 	meter := NewInstrumentedMeter(tr, core.RegistryFrom(opts...), fmt.Sprintf("peer-%d", id))
-	er, err := runIncumbentPeer(ctx, meter, id, x0, rounds, src, ElasticPeerConfig{}, opts...)
+	er, err := runIncumbentPeer(ctx, meter, id, x0, rounds, src, ElasticPeerConfig{}, initialMembers(len(x0)), opts...)
 	if err != nil {
 		return PeerResult{}, err
 	}

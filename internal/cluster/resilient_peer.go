@@ -71,7 +71,8 @@ type ResilientPeerResult struct {
 	FinalX float64
 	// FinalLocalAlpha is the peer's local step size when it stopped.
 	FinalLocalAlpha float64
-	// Survivors is the peer's final view of the live peer set.
+	// Survivors is the peer's final view of the live peer set. It may
+	// be shared with other peers' results; callers must not mutate it.
 	Survivors []int
 	// Traffic counts the peer's protocol messages and bytes.
 	Traffic TrafficStats

@@ -297,6 +297,31 @@ func TestAdmitRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestAdmitOutOfIDOrder admits joiner 3 after joiner 4: id 3 was never
+// a member, so it takes its empty slot instead of being refused as an
+// evicted id. Only an id this peer actually evicted stays spent.
+func TestAdmitOutOfIDOrder(t *testing.T) {
+	p, err := NewPeer(0, []float64{0.5, 0.25, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Admit(4, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Admit(3, 0.2); err != nil {
+		t.Fatalf("admitting never-member id 3 after id 4: %v", err)
+	}
+	if got := p.Survivors(); len(got) != 5 || got[3] != 3 || got[4] != 4 {
+		t.Fatalf("survivors = %v, want [0 1 2 3 4]", got)
+	}
+	if _, err := p.Evict(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Admit(3, 0.2); err == nil {
+		t.Fatal("readmitting evicted id 3 succeeded, want error")
+	}
+}
+
 func TestNewJoinedPeerValidates(t *testing.T) {
 	if _, err := NewJoinedPeer(2, []int{0, 1}, 0.25, 0.1, 3); err == nil {
 		t.Fatal("roster omitting self accepted, want error")

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -348,6 +349,9 @@ func TestSoakAllBaselinesRegimeSwitches(t *testing.T) {
 // and (2) bit-for-bit determinism: two identically-seeded runs must
 // produce identical trajectories, costs, and membership histories,
 // because every churn event is round-gated, never wall-clock-gated.
+// The coordinator holds its first round until both join requests are
+// sent, so a joiner goroutine that starts late on a busy host cannot
+// miss its scheduled admission round.
 func TestSoakJoinChurnElastic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -371,8 +375,15 @@ func TestSoakJoinChurnElastic(t *testing.T) {
 		})
 		net := dolbie.NewMemNet()
 		transports := make([]dolbie.Transport, peers)
+		var requested []chan struct{}
 		for i := range transports {
 			transports[i] = chaos.Wrap(i, net.Node(i))
+			if i >= incumbents {
+				// A joiner's first send is its join request.
+				sent := &firstSend{Transport: transports[i], sent: make(chan struct{})}
+				requested = append(requested, sent.sent)
+				transports[i] = sent
+			}
 		}
 		defer func() {
 			for _, tr := range transports {
@@ -383,6 +394,15 @@ func TestSoakJoinChurnElastic(t *testing.T) {
 		for i := range sources {
 			f := dolbie.Affine{Slope: float64(i + 1), Intercept: 0.2 * float64(i)}
 			sources[i] = dolbie.FuncSource(func(round int, x float64) (float64, dolbie.CostFunc, error) {
+				if i == 0 && round == 1 {
+					for _, sent := range requested {
+						select {
+						case <-sent:
+						case <-ctx.Done():
+							return 0, nil, ctx.Err()
+						}
+					}
+				}
 				return f.Eval(x), f, nil
 			})
 		}
@@ -484,4 +504,19 @@ func TestSoakJoinChurnElastic(t *testing.T) {
 	if math.Abs(sum-1) > 1e-6 {
 		t.Fatalf("final round: survivor shares sum to %v, want 1", sum)
 	}
+}
+
+// firstSend closes sent once the wrapped transport's first send succeeds.
+type firstSend struct {
+	dolbie.Transport
+	once sync.Once
+	sent chan struct{}
+}
+
+func (f *firstSend) Send(ctx context.Context, to int, env dolbie.Envelope) (int, error) {
+	n, err := f.Transport.Send(ctx, to, env)
+	if err == nil {
+		f.once.Do(func() { close(f.sent) })
+	}
+	return n, err
 }
